@@ -31,8 +31,7 @@ from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
     DirectZField,
     QuadraticField,
-    eval_u,
-    eval_v_diff,
+    eval_u,  # noqa: F401 -- unused here; perfbench/test_tracer.py wraps it here
     features,
     grad_features,
     num_features,
@@ -128,15 +127,17 @@ def _masked_grad_features(x, lo, hi, dim):
     return xc, jac
 
 
-def _joint_loss(problem, t, h, x, y_next, dw, field):
-    u_vals = eval_u(field, x)
-    v_vals = eval_v_diff(field, problem.sigma, t, x)
-    pred = (
-        u_vals
-        - h * problem.f(t, x, u_vals, v_vals)
-        + np.einsum("nc,nc->n", v_vals, dw)
-    )
-    return float(np.mean(np.square(y_next - pred)))
+def _evaluate_iterate(problem, t, x, phi, jac, coeffs):
+    """Value, diffusion and gradient process of one iterate on the step's paths.
+
+    ``phi`` and ``jac`` are the clamped features and the masked feature
+    Jacobian, so ``y`` and ``z`` equal ``eval_u`` and ``eval_v_diff`` of the
+    field with these coefficients.
+    """
+    y = phi @ coeffs
+    sigma = np.asarray(problem.sigma(t, x, y), dtype=np.float64)
+    z = np.einsum("ni,nic->nc", np.einsum("npk,p->nk", jac, coeffs), sigma)
+    return y, sigma, z
 
 
 def fit_step_differentiation(
@@ -166,30 +167,29 @@ def fit_step_differentiation(
     lo, hi = warm_start.trunc_lo, warm_start.trunc_hi
     xc, jac = _masked_grad_features(x, lo, hi, dim)
     phi = features(xc, dim)
+    implicit = cfg.f_mode == "implicit-yz"
 
-    field = warm_start
-    y_bar = eval_u(field, x)
-    z_bar = eval_v_diff(field, problem.sigma, t, x)
+    coeffs = warm_start.coeffs
+    y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
+    f_bar = problem.f(t, x, y_bar, z_bar) if implicit else None
     last_loss = None
     losses = loss_history if loss_history is not None else []
     loss_floor = 1e-12 * (1.0 + float(np.mean(np.square(y_next))))
     for _ in range(cfg.inner_iters):
-        sigma_bar = np.asarray(problem.sigma(t, x, y_bar), dtype=np.float64)
         if not np.all(np.isfinite(sigma_bar)):
             raise NumericalFailure(
                 f"diffusion evaluated non-finite at t={t}", step=step
             )
         design = phi + np.einsum("npk,nkc,nc->np", jac, sigma_bar, dw)
-        if cfg.f_mode == "implicit-yz":
-            drift = problem.f(t, x, y_bar, z_bar)
-        else:
-            drift = problem.f(t, x, y_next, z_bar)
+        drift = f_bar if implicit else problem.f(t, x, y_next, z_bar)
         targets = y_next + h * drift
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
-        field = QuadraticField(dim=dim, coeffs=coeffs, trunc_lo=lo, trunc_hi=hi)
-        y_bar = eval_u(field, x)
-        z_bar = eval_v_diff(field, problem.sigma, t, x)
-        loss = _joint_loss(problem, t, h, x, y_next, dw, field)
+        y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
+        # the joint loss of the new iterate; its driver value is also the
+        # next linearization's drift in implicit-yz mode
+        f_bar = problem.f(t, x, y_bar, z_bar)
+        pred = y_bar - h * f_bar + np.einsum("nc,nc->n", z_bar, dw)
+        loss = float(np.mean(np.square(y_next - pred)))
         losses.append(loss)
         if last_loss is not None and loss > last_loss:
             # the linearization is not a guaranteed descent step; surface
@@ -201,7 +201,7 @@ def fit_step_differentiation(
                 t, step, last_loss, loss,
             )
         last_loss = loss
-    return field
+    return QuadraticField(dim=dim, coeffs=coeffs, trunc_lo=lo, trunc_hi=hi)
 
 
 def fit_step_direct(

@@ -37,10 +37,10 @@ from .fields import (
     QuadraticField,
     default_truncation_box,
     eval_u,
-    eval_v_diff,
     eval_v_direct,
     field_from_record,
     field_to_record,
+    grad_u,
     zero_field,
     zero_zfield,
 )
@@ -157,12 +157,15 @@ def forward_simulate(
         t = grid.nodes[i]
         state = x[:, i]
         y[:, i] = eval_u(fields_prev[i], state)
+        smat = problem.sigma(t, state, y[:, i])
         if method == "differentiation":
-            z[:, i] = eval_v_diff(fields_prev[i], problem.sigma, t, state)
+            # eval_v_diff, with the value and diffusion already at hand
+            z[:, i] = np.einsum(
+                "ni,nic->nc", grad_u(fields_prev[i], state), smat
+            )
         else:
             z[:, i] = eval_v_direct(zfields_prev[i], state)
         drift = problem.b(t, state, y[:, i], z[:, i])
-        smat = problem.sigma(t, state, y[:, i])
         x[:, i + 1] = (
             state + drift * h + np.einsum("nic,nc->ni", smat, increments[:, i])
         )

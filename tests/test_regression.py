@@ -1,5 +1,7 @@
 """Tests for the least-squares kernels and per-step fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,16 @@ from fbsdekit.errors import (
     NumericalFailure,
     RankDeficiencyError,
 )
-from fbsdekit.fields import eval_u, eval_v_diff, eval_v_direct, zero_field
-from fbsdekit.problems import decoupled_test_problem
+from fbsdekit.fields import (
+    QuadraticField,
+    eval_u,
+    eval_v_diff,
+    eval_v_direct,
+    features,
+    grad_features,
+    zero_field,
+)
+from fbsdekit.problems import decoupled_test_problem, example1_problem
 from fbsdekit.regression import (
     RegressionConfig,
     fit_step_differentiation,
@@ -168,6 +178,117 @@ class TestFitStepDifferentiation:
             fit_step_differentiation(
                 self.problem, 0.0, x, bad, dw, self.warm, self.cfg, h=0.1
             )
+
+
+def example1_batch(n=3000, seed=11):
+    """One late step of example1 on states spread around ``x0``.
+
+    Returns ``(problem, t, h, x, y_next, dw, warm)``.  The box clamps a few
+    paths in every component, and the warm start is the plain value
+    regression, so every linearization has a full-rank design.
+    """
+    problem = example1_problem()
+    h = problem.horizon / 8
+    t = problem.horizon - h
+    rng = np.random.default_rng(seed)
+    x = problem.x0 + 0.6 * rng.normal(size=(n, problem.dim_x))
+    dw = np.sqrt(h) * rng.normal(size=(n, problem.dim_w))
+    smat = problem.sigma(t, x, problem.analytic_u(t, x))
+    y_next = problem.g(x + np.einsum("nic,nc->ni", smat, dw))
+    lo, hi = problem.x0 - 1.5, problem.x0 + 1.5
+    warm = QuadraticField(
+        dim=problem.dim_x,
+        coeffs=solve_linear_lsq(features(np.clip(x, lo, hi), problem.dim_x), y_next),
+        trunc_lo=lo,
+        trunc_hi=hi,
+    )
+    return problem, t, h, x, y_next, dw, warm
+
+
+def joint_loss(problem, t, h, x, y_next, dw, field):
+    """The empirical joint loss of ``field``, from the public evaluators."""
+    y = eval_u(field, x)
+    z = eval_v_diff(field, problem.sigma, t, x)
+    pred = y - h * problem.f(t, x, y, z) + np.einsum("nc,nc->n", z, dw)
+    return float(np.mean(np.square(y_next - pred)))
+
+
+def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
+    """The fixed-point loop with every iterate re-evaluated by ``eval_u``
+    and ``eval_v_diff`` and the design from the three-operand contraction."""
+    lo, hi = warm.trunc_lo, warm.trunc_hi
+    xc = np.clip(x, lo, hi)
+    phi = features(xc, warm.dim)
+    jac = grad_features(xc, warm.dim) * ((x > lo) & (x < hi))[:, None, :]
+    field = warm
+    for _ in range(cfg.inner_iters):
+        y_bar = eval_u(field, x)
+        z_bar = eval_v_diff(field, problem.sigma, t, x)
+        sigma_bar = problem.sigma(t, x, y_bar)
+        design = phi + np.einsum("npk,nkc,nc->np", jac, sigma_bar, dw)
+        y_arg = y_bar if cfg.f_mode == "implicit-yz" else y_next
+        targets = y_next + h * problem.f(t, x, y_arg, z_bar)
+        field = QuadraticField(
+            dim=warm.dim,
+            coeffs=solve_linear_lsq(design, targets, cfg.ridge),
+            trunc_lo=lo,
+            trunc_hi=hi,
+        )
+    return field.coeffs
+
+
+class TestFitStepDifferentiationEvaluations:
+    """Each iterate is evaluated once and carried into the loss and the
+    next linearization."""
+
+    @pytest.mark.parametrize(
+        "f_mode, sigma_calls, f_calls",
+        [("implicit-yz", 4, 4), ("explicit-ynext", 4, 6)],
+    )
+    def test_coefficient_calls_per_fit(self, f_mode, sigma_calls, f_calls):
+        # warm start plus three iterates: one sigma each; f once per
+        # iterate in implicit-yz, and loss plus drift in explicit-ynext
+        problem, t, h, x, y_next, dw, warm = example1_batch(n=500)
+        calls = {"sigma": 0, "f": 0}
+
+        def counted(name):
+            inner = getattr(problem, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        counting = dataclasses.replace(
+            problem, sigma=counted("sigma"), f=counted("f")
+        )
+        fit_step_differentiation(
+            counting, t, x, y_next, dw, warm,
+            RegressionConfig(inner_iters=3, f_mode=f_mode), h=h,
+        )
+        assert calls == {"sigma": sigma_calls, "f": f_calls}
+
+    @pytest.mark.parametrize("inner_iters", [1, 2, 3])
+    def test_last_loss_is_that_of_the_returned_field(self, inner_iters):
+        problem, t, h, x, y_next, dw, warm = example1_batch()
+        losses = []
+        field = fit_step_differentiation(
+            problem, t, x, y_next, dw, warm,
+            RegressionConfig(inner_iters=inner_iters), h=h, loss_history=losses,
+        )
+        assert len(losses) == inner_iters
+        assert losses[-1] == joint_loss(problem, t, h, x, y_next, dw, field)
+
+    @pytest.mark.parametrize("f_mode", ["implicit-yz", "explicit-ynext"])
+    def test_matches_loop_over_public_evaluators(self, f_mode):
+        problem, t, h, x, y_next, dw, warm = example1_batch()
+        cfg = RegressionConfig(inner_iters=3, f_mode=f_mode)
+        ours = fit_step_differentiation(
+            problem, t, x, y_next, dw, warm, cfg, h=h
+        ).coeffs
+        oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h)
+        assert np.linalg.norm(ours - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 class TestFitStepDirect:

@@ -1,5 +1,7 @@
 """Tests for the forward sweep, backward pass, and the outer iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from fbsdekit.brownian import (
     sample_fine_increments,
 )
 from fbsdekit.errors import InvalidArgument, NumericalFailure
-from fbsdekit.fields import eval_u, zero_field
+from fbsdekit.fields import QuadraticField, eval_u, eval_v_diff, zero_field
 from fbsdekit.problems import (
     ProblemSpec,
     decoupled_test_problem,
@@ -113,6 +115,35 @@ class TestForwardSimulate:
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as err:
             forward_simulate(problem, zero_fields(4), np.zeros((2, 4, 1)), grid)
         assert err.value.step is not None
+
+    def test_gradient_process_from_the_step_diffusion(self):
+        # Z equals eval_v_diff of each field, from the one sigma call per
+        # node that the Euler step also uses; the box clamps some paths
+        problem = example2_problem()
+        grid = make_time_grid(problem.horizon, 4)
+        store = sample_fine_increments(3, 200, 16, 1, problem.horizon)
+        inc = coarsen_increments(store, 4)
+        fields = [
+            QuadraticField(dim=1, coeffs=np.array([0.3, -0.5, 0.2]) * (i + 1),
+                           trunc_lo=np.array([1.49]), trunc_hi=np.array([1.51]))
+            for i in range(4)
+        ]
+        calls = []
+
+        def sigma(t, x, y):
+            calls.append(t)
+            return problem.sigma(t, x, y)
+
+        counting = dataclasses.replace(problem, sigma=sigma)
+        paths = forward_simulate(counting, fields, inc, grid)
+        assert len(calls) == grid.n + 1
+        inner = paths.x[:, 1 : grid.n]
+        assert np.any((inner < 1.49) | (inner > 1.51))
+        for i in range(grid.n):
+            assert np.array_equal(
+                paths.z[:, i],
+                eval_v_diff(fields[i], problem.sigma, grid.nodes[i], paths.x[:, i]),
+            )
 
     def test_wrong_field_count(self):
         problem = make_problem()
