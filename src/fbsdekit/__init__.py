@@ -10,7 +10,22 @@ differentiating that field and multiplying by the diffusion (the
 solutions, strong error metrics, convergence-rate fits, and evaluators
 for the convergence constants of the underlying contraction analysis are
 included, plus the ``fbsde`` experiment CLI.
+
+``FBSDE_THREADS``, when set, caps the OpenMP/BLAS thread pools.  The caps
+are assigned here, before anything imports numpy, and override inherited
+values; results do not depend on them.
 """
+
+import os
+
+if "FBSDE_THREADS" in os.environ:
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[_var] = os.environ["FBSDE_THREADS"]
 
 from .brownian import (
     BrownianStore,

@@ -9,25 +9,18 @@ evaluates the convergence conditions for a constants file.
 Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
 (wall-clock milliseconds are the only varying column).  ``FBSDE_THREADS``
-caps the linear-algebra thread pools; results do not depend on it.
+caps the linear-algebra thread pools (see the package docstring); results
+do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-
-if "FBSDE_THREADS" in os.environ:  # must precede the numpy import chain
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, os.environ["FBSDE_THREADS"])
 
 from .brownian import PathBatch, make_time_grid, sample_fine_increments
 from .diagnostics import (
@@ -167,15 +160,7 @@ def _build_problem(options):
 
 
 def _solver_config(options, n, m) -> SolverConfig:
-    regression = RegressionConfig(
-        ridge=options["ridge"],
-        inner_iters=options["inner_iters"],
-        f_mode=options["f_mode"]
-        if options["f_mode"] is not None
-        else ("implicit-yz" if options["method"] == "differentiation"
-              else "explicit-ynext"),
-    )
-    return SolverConfig(
+    cfg = SolverConfig(
         n_steps=n,
         num_iterations=m,
         num_paths=options["paths"],
@@ -183,8 +168,13 @@ def _solver_config(options, n, m) -> SolverConfig:
         seed=options["seed"],
         fine_n=options["fine_n"],
         fresh_noise=options["fresh_noise"],
-        regression=regression,
     )
+    regression = RegressionConfig(
+        ridge=options["ridge"],
+        inner_iters=options["inner_iters"],
+        f_mode=options["f_mode"] or cfg.resolved_regression().f_mode,
+    )
+    return dataclasses.replace(cfg, regression=regression)
 
 
 def _format_row(options, report, wall_ms) -> str:

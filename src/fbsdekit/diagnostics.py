@@ -42,7 +42,6 @@ __all__ = [
     "compute_c_functions_disc",
     "compute_c2",
     "compute_c2_at",
-    "compute_c2_disc",
     "z_field_lipschitz_factor",
     "check_conditions",
     "parse_constants",
@@ -371,33 +370,6 @@ def compute_c2_at(
             c.g_x * gamma1(a4 * T, arg * T)
             + a5 * T * gamma0(a4 * T) * gamma0(arg * T)
         )
-        return float(_prod(np.float64(prefactor) * coefficient, bracket))
-
-
-def compute_c2_disc(
-    c: AssumptionConstants, h: float, lambda1: float, lip: float,
-    growth: float, lbar: float, lambda2=None, lambda3=None,
-) -> float:
-    """Discrete-grid contraction factor at fixed lambda1 and step size h."""
-    if lambda1 <= 0.0:
-        raise InvalidArgument("lambda1 must be positive")
-    a1, a2, _, a4, a5, _, _ = compute_A_constants(c, h, lambda2, lambda3)
-    d1, d2, _ = compute_D_constants(c, h, lbar)
-    n = int(round(c.T / h))
-    bzh = c.b_z + c.b_z * h
-    with np.errstate(over="ignore"):
-        exponent = ((a1 + d1) + _prod(a2 + d2, growth)) * c.T
-        prefactor = max(math.exp(min(exponent, 709.0)), 1.0)
-        coefficient = (1.0 + 1.0 / lambda1) * (
-            a2 + _prod(_prod(bzh, lbar), c.sigma_y)
-        )
-        arg = a1 + 1.0 + (1.0 + lambda1) * _prod(
-            a2 + bzh * (2.0 * c.sigma_x + 2.0 * c.sigma_y + 2.0 * c.Sigma),
-            lip,
-        )
-        bracket = c.g_x * gamma1_disc(n, a4, arg, h) + a5 * gamma0_disc(
-            n, a4, h
-        ) * gamma0_disc(n, arg, h)
         return float(_prod(np.float64(prefactor) * coefficient, bracket))
 
 

@@ -15,8 +15,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # directory pytest was started from.
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(fbsdekit.__file__)))
 
-# ``fbsdekit.cli`` only ``setdefault``s these from FBSDE_THREADS, so an
-# inherited value would override the cap under test.
+# ``fbsdekit`` assigns these from FBSDE_THREADS, overriding inherited
+# values; the children still start without them, so that each runs at the
+# cap it is given and nothing else.  ``inherit`` puts some back.
 THREAD_CAP_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -25,8 +26,9 @@ THREAD_CAP_VARS = (
 )
 
 
-def child_env(threads):
+def child_env(threads, inherit=None):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_CAP_VARS}
+    env.update(inherit or {})
     env["FBSDE_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (PACKAGE_PARENT, os.environ.get("PYTHONPATH")))
@@ -36,12 +38,13 @@ def child_env(threads):
 
 @pytest.fixture
 def run_child():
-    """Run ``python ARGS`` from the repo root with ``FBSDE_THREADS=threads``."""
+    """Run ``python ARGS`` from the repo root with ``FBSDE_THREADS=threads``
+    and the extra variables in ``inherit``."""
 
-    def run(args, threads):
+    def run(args, threads, inherit=None):
         return subprocess.run(
             [sys.executable, *args], capture_output=True, text=True,
-            env=child_env(threads), cwd=REPO_ROOT, check=True,
+            env=child_env(threads, inherit), cwd=REPO_ROOT, check=True,
         )
 
     return run

@@ -1,12 +1,15 @@
 """Tests for the experiment CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from fbsdekit import cli
 from fbsdekit.errors import NumericalFailure
+
+from conftest import THREAD_CAP_VARS
 
 FAST = [
     "--paths", "400", "--fine-n", "64", "--seed", "5",
@@ -48,6 +51,17 @@ class TestRun:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert strip_wall(out1) == strip_wall(out2)
+
+    @pytest.mark.parametrize(
+        "method, f_mode",
+        [("differentiation", "implicit-yz"), ("direct", "explicit-ynext")],
+    )
+    def test_default_f_mode_is_the_solver_default(self, capsys, method, f_mode):
+        argv = ["run", "--problem", "example2", "--N", "4", "--M", "2",
+                "--method", method] + FAST
+        _, default, _ = run_cli(capsys, argv)
+        _, explicit, _ = run_cli(capsys, argv + ["--f-mode", f_mode])
+        assert strip_wall(default) == strip_wall(explicit)
 
     def test_out_file_appends_with_single_header(self, capsys, tmp_path):
         path = tmp_path / "runs.csv"
@@ -230,15 +244,33 @@ class TestThreadIndependence:
                    for threads in ("1", "4")]
         assert outputs[0] == outputs[1]
 
+    CAPS_PROBE = (
+        "import json, os, fbsdekit.cli; "
+        f"print(json.dumps({{v: os.environ.get(v) for v in {THREAD_CAP_VARS!r}}}))"
+    )
+
     def test_inherited_caps_do_not_override_fbsde_threads(self, run_child,
                                                           monkeypatch):
-        caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-        for var in caps:
+        for var in THREAD_CAP_VARS:
             monkeypatch.setenv(var, "1")
-        probe = (
-            "import json, os, fbsdekit.cli; "
-            f"print(json.dumps({{v: os.environ.get(v) for v in {caps!r}}}))"
+        seen = json.loads(run_child(["-c", self.CAPS_PROBE], "4").stdout)
+        assert seen == dict.fromkeys(THREAD_CAP_VARS, "4")
+
+    def test_fbsde_threads_overrides_a_cap_the_child_inherits(self, run_child):
+        inherited = dict.fromkeys(THREAD_CAP_VARS, "1")
+        seen = json.loads(
+            run_child(["-c", self.CAPS_PROBE], "4", inherit=inherited).stdout
         )
-        seen = json.loads(run_child(["-c", probe], "4").stdout)
-        assert seen == dict.fromkeys(caps, "4")
+        assert seen == dict.fromkeys(THREAD_CAP_VARS, "4")
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one core: the pools start no threads anyway")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_fbsde_threads_caps_the_pools_after_import(self, run_child):
+        probe = (
+            "import fbsdekit.cli; "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('Threads:')))"
+        )
+        assert run_child(["-c", probe], "1").stdout.strip() == "1"
