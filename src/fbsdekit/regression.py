@@ -9,14 +9,20 @@ the single joint optimization
 with ``v = grad_u^T sigma`` tied to the same coefficients, by fixed-point
 linearization: the driver arguments and the diffusion are frozen at the
 current iterate, the model is then linear in ``theta`` and solved exactly,
-and the frozen quantities are refreshed.  ``fit_step_direct`` is the
-two-regression baseline: the gradient process is regressed from
+and the frozen quantities are refreshed.  The clamped features ``phi`` and
+their masked Jacobian ``jac`` are built once per step, and each iterate is
+evaluated once from them: ``y = phi theta``, ``sigma(t, X, y)``,
+``z = (jac theta) sigma`` and ``f(t, X, y, z)`` give its joint loss and
+the frozen quantities of the next linearization.  ``fit_step_direct`` is
+the two-regression baseline: the gradient process is regressed from
 ``h^-1 Y_next dW`` with its own coefficients, then the value process from
 ``Y_next + h f``.
 
-Gram matrices are accumulated over fixed-size ordered path chunks with
-``numpy.einsum`` (no BLAS reduction), so results are bit-identical no
-matter how many threads the BLAS carries.
+The design rows ``phi + jac (sigma dW)`` are per-path ``numpy.einsum``
+contractions, ``sigma dW`` first, and Gram matrices are accumulated with
+``numpy.einsum`` over fixed-size ordered path chunks.  Neither uses a BLAS
+reduction, so results are bit-identical no matter how many threads the
+BLAS carries.
 """
 
 from __future__ import annotations
@@ -180,7 +186,8 @@ def fit_step_differentiation(
             raise NumericalFailure(
                 f"diffusion evaluated non-finite at t={t}", step=step
             )
-        design = phi + np.einsum("npk,nkc,nc->np", jac, sigma_bar, dw)
+        sigma_dw = np.einsum("nkc,nc->nk", sigma_bar, dw)
+        design = phi + np.einsum("npk,nk->np", jac, sigma_dw)
         drift = f_bar if implicit else problem.f(t, x, y_next, z_bar)
         targets = y_next + h * drift
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
