@@ -5,10 +5,10 @@ One Philox block is keyed by the 64-bit seed and counter lanes
 pure functions of their indices, so any sub-block of the stream can be
 produced independently and in any order.
 
-Two implementations are provided: a vectorized numpy one (always
-available, the reference) and a numba-jitted loop used automatically when
-numba is importable.  Both produce bit-identical output; the jitted kernel
-is roughly 5x faster on one core.
+The numpy kernel fills the output in blocks of at most ``_LANES`` lanes.
+Each block runs the ten rounds in place on six buffers allocated once per
+call, small enough to stay in cache, so the kernel's memory is bounded by
+one block and the caller's window bounds the total.
 """
 
 from __future__ import annotations
@@ -20,137 +20,85 @@ _M1 = np.uint64(0xCD9E8D57)
 _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 _ROUNDS = 10
 
-# Upper bound on Philox blocks a single numpy kernel call holds in flight.
-_MAX_BLOCKS = 1 << 21
+# Philox lanes per kernel block: six uint64 buffers of this length take
+# 768 KB, which stays in a core's L2 cache.
+_LANES = 1 << 14
 
 
-def philox_words(seed: int, c0, c1, c2, c3):
-    """Philox-4x32-10 applied lane-wise to uint64 arrays of 32-bit values.
+def philox_words(seed: int, x0, x1, x2, x3, p0, p1) -> None:
+    """Philox-4x32-10 applied lane-wise, in place, to uint64 arrays.
 
-    Returns the four 32-bit output words (as uint64 arrays).  Products of
-    two 32-bit lanes fit a uint64 exactly, which gives mulhi/mullo without
-    extended precision.
+    ``x0..x3`` hold the four 32-bit counter words on entry and the four
+    output words on return; ``p0`` and ``p1`` are scratch of the same
+    shape.  Products of two 32-bit lanes fit a uint64 exactly, which gives
+    mulhi/mullo without extended precision.
     """
     k0 = seed & 0xFFFFFFFF
     k1 = (seed >> 32) & 0xFFFFFFFF
-    x0 = np.asarray(c0, dtype=np.uint64)
-    x1 = np.asarray(c1, dtype=np.uint64)
-    x2 = np.asarray(c2, dtype=np.uint64)
-    x3 = np.asarray(c3, dtype=np.uint64)
-    shift = np.uint64(32)
     for r in range(_ROUNDS):
         rk0 = np.uint64((k0 + r * _W0) & 0xFFFFFFFF)
         rk1 = np.uint64((k1 + r * _W1) & 0xFFFFFFFF)
-        p0 = x0 * _M0
-        p1 = x2 * _M1
-        x0 = (p1 >> shift) ^ x1 ^ rk0
-        x2 = (p0 >> shift) ^ x3 ^ rk1
-        x1 = p1 & _MASK32
-        x3 = p0 & _MASK32
-    return x0, x1, x2, x3
+        np.multiply(x0, _M0, out=p0)
+        np.multiply(x2, _M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=x0)
+        x0 ^= x1
+        x0 ^= rk0
+        np.right_shift(p0, _SHIFT32, out=x2)
+        x2 ^= x3
+        x2 ^= rk1
+        np.bitwise_and(p1, _MASK32, out=x1)
+        np.bitwise_and(p0, _MASK32, out=x3)
 
 
-def _uniforms_numpy(seed, k0, num_paths, n_steps, n_blocks, out):
-    """Fill ``out[(paths, steps, 2 * n_blocks)]`` with the uniform stream."""
-    steps_per_call = max(1, _MAX_BLOCKS // (num_paths * n_blocks))
-    paths = np.arange(num_paths, dtype=np.uint64)
-    blocks = np.arange(n_blocks, dtype=np.uint64)
-    shift = np.uint64(32)
-    eleven = np.uint64(11)
-    for s0 in range(0, n_steps, steps_per_call):
-        s1 = min(s0 + steps_per_call, n_steps)
-        steps = np.arange(k0 + s0, k0 + s1, dtype=np.uint64)
-        shape = (num_paths, s1 - s0, n_blocks)
-        l0 = np.broadcast_to(steps[None, :, None], shape)
-        l1 = np.broadcast_to(paths[:, None, None], shape)
-        l2 = np.broadcast_to(blocks[None, None, :], shape)
-        x0, x1, x2, x3 = philox_words(
-            seed, l0, l1, l2, np.zeros(shape, dtype=np.uint64)
-        )
-        w_a = ((x0 << shift) | x1) >> eleven
-        w_b = ((x2 << shift) | x3) >> eleven
-        # +0.5 keeps the stream strictly inside (0, 1).
-        out[:, s0:s1, 0::2] = (w_a.astype(np.float64) + 0.5) * 2.0**-53
-        out[:, s0:s1, 1::2] = (w_b.astype(np.float64) + 0.5) * 2.0**-53
+def _to_unit(hi, lo, out) -> None:
+    """Write the 53 top bits of the word pair ``(hi, lo)`` as doubles.
 
-
-try:  # pragma: no cover - exercised indirectly when numba is installed
-    import numba as _nb
-
-    @_nb.njit(
-        _nb.void(
-            _nb.uint64, _nb.uint64, _nb.uint64, _nb.uint64, _nb.float64[:, :, ::1]
-        ),
-        cache=True,
-    )
-    def _uniforms_numba(seed, k0, num_paths, n_blocks, out):
-        klo = seed & np.uint64(0xFFFFFFFF)
-        khi = (seed >> np.uint64(32)) & np.uint64(0xFFFFFFFF)
-        mask = np.uint64(0xFFFFFFFF)
-        m0 = np.uint64(0xD2511F53)
-        m1 = np.uint64(0xCD9E8D57)
-        w0 = np.uint64(0x9E3779B9)
-        w1 = np.uint64(0xBB67AE85)
-        n_steps = out.shape[1]
-        for j in range(num_paths):
-            for s in range(n_steps):
-                for b in range(n_blocks):
-                    x0 = k0 + np.uint64(s)
-                    x1 = np.uint64(j)
-                    x2 = np.uint64(b)
-                    x3 = np.uint64(0)
-                    rk0 = klo
-                    rk1 = khi
-                    for _ in range(10):
-                        p0 = x0 * m0
-                        p1 = x2 * m1
-                        nx0 = (p1 >> np.uint64(32)) ^ x1 ^ rk0
-                        nx2 = (p0 >> np.uint64(32)) ^ x3 ^ rk1
-                        x1 = p1 & mask
-                        x3 = p0 & mask
-                        x0 = nx0
-                        x2 = nx2
-                        rk0 = (rk0 + w0) & mask
-                        rk1 = (rk1 + w1) & mask
-                    w_a = ((x0 << np.uint64(32)) | x1) >> np.uint64(11)
-                    w_b = ((x2 << np.uint64(32)) | x3) >> np.uint64(11)
-                    out[j, s, 2 * b] = (np.float64(w_a) + 0.5) * 2.0**-53
-                    out[j, s, 2 * b + 1] = (np.float64(w_b) + 0.5) * 2.0**-53
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+    ``hi`` is overwritten.  +0.5 keeps the stream strictly inside (0, 1).
+    """
+    hi <<= _SHIFT32
+    hi |= lo
+    hi >>= _SHIFT11
+    np.add(hi, 0.5, out=out)
+    out *= 2.0**-53
 
 
 def uniform_stream(
-    seed: int,
-    k0: int,
-    num_paths: int,
-    n_steps: int,
-    n_blocks: int,
-    use_numba: bool | None = None,
+    seed: int, k0: int, num_paths: int, n_steps: int, n_blocks: int
 ) -> np.ndarray:
     """Uniforms for steps ``[k0, k0 + n_steps)``, all paths and blocks.
 
     Returns shape ``(num_paths, n_steps, 2 * n_blocks)``; the pair
     ``(2b, 2b + 1)`` comes from the Philox block with counter
-    ``(step, path, b, 0)``.  The two backends agree bit-for-bit.
+    ``(step, path, b, 0)``.
     """
     out = np.empty((num_paths, n_steps, 2 * n_blocks))
-    if n_steps == 0:
+    if out.size == 0:
         return out
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        _uniforms_numba(
-            np.uint64(seed),
-            np.uint64(k0),
-            np.uint64(num_paths),
-            np.uint64(n_blocks),
-            out,
-        )
+    # A kernel block is a rectangle of paths x steps x all Philox blocks:
+    # whole paths when one path fits, otherwise a run of steps of one path.
+    per_path = n_steps * n_blocks
+    if per_path <= _LANES:
+        rows, span = min(_LANES // per_path, num_paths), n_steps
     else:
-        _uniforms_numpy(seed, k0, num_paths, n_steps, n_blocks, out)
+        rows, span = 1, max(1, _LANES // n_blocks)
+    buffers = np.empty((6, rows * span * n_blocks), dtype=np.uint64)
+    blocks = np.arange(n_blocks, dtype=np.uint64)
+    for j0 in range(0, num_paths, rows):
+        j1 = min(j0 + rows, num_paths)
+        for s0 in range(0, n_steps, span):
+            s1 = min(s0 + span, n_steps)
+            shape = (j1 - j0, s1 - s0, n_blocks)
+            size = shape[0] * shape[1] * n_blocks
+            x0, x1, x2, x3, p0, p1 = (b[:size].reshape(shape) for b in buffers)
+            x0[...] = np.arange(k0 + s0, k0 + s1, dtype=np.uint64)[:, None]
+            x1[...] = np.arange(j0, j1, dtype=np.uint64)[:, None, None]
+            x2[...] = blocks
+            x3.fill(0)
+            philox_words(seed, x0, x1, x2, x3, p0, p1)
+            _to_unit(x0, x1, out[j0:j1, s0:s1, 0::2])
+            _to_unit(x2, x3, out[j0:j1, s0:s1, 1::2])
     return out

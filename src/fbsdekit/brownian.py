@@ -6,7 +6,9 @@ The increment store never materializes the full
 in :mod:`fbsdekit._philox`, so any sub-block can be generated
 independently, in any order, on any number of workers, with bit-identical
 results.  Gaussians come from inverting the standard normal CDF on that
-stream.
+stream.  Readers that stream the whole grid take windows of at most
+``_STREAM_VALUES`` values, so a window bounds the transient memory; the
+Philox kernel itself needs only a few cache-sized buffers.
 
 Each increment is rounded to the nearest multiple of ``2**-40``.  The
 rounding perturbs an increment by at most ``~5e-13`` (many orders below
@@ -40,8 +42,8 @@ __all__ = [
 # Increments are multiples of this quantum; see module docstring.
 _QUANTUM = 2.0**-40
 
-# Values held in flight per streaming chunk (bounds transient memory).
-_STREAM_VALUES = 1 << 23
+# Values per streamed window of increments (bounds transient memory).
+_STREAM_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,15 @@ class BrownianStore:
         out *= _QUANTUM
         return out
 
+    def _windows(self, lo: int, hi: int):
+        """Yield ``(k0, fine_increments(k0, k1))`` over ``[lo, hi)``.
+
+        Windows hold at most ``_STREAM_VALUES`` values (at least one step).
+        """
+        sub = max(1, _STREAM_VALUES // (self.num_paths * self.dim_w))
+        for k0 in range(lo, hi, sub):
+            yield k0, self.fine_increments(k0, min(k0 + sub, hi))
+
     def _note_coarse(self, n: int, increments: np.ndarray) -> None:
         """Cache window sums so later coarsenings can be derived exactly.
 
@@ -168,12 +179,9 @@ def coarsen_increments(store: BrownianStore, n: int) -> np.ndarray:
             return out
     window = store.fine_n // n
     out = np.zeros((store.num_paths, n, store.dim_w))
-    sub = max(1, _STREAM_VALUES // (store.num_paths * store.dim_w))
     for i in range(n):
-        lo = i * window
-        for s0 in range(lo, lo + window, sub):
-            s1 = min(s0 + sub, lo + window)
-            out[:, i, :] += store.fine_increments(s0, s1).sum(axis=1)
+        for _, chunk in store._windows(i * window, (i + 1) * window):
+            out[:, i, :] += chunk.sum(axis=1)
     store._note_coarse(n, out)
     return out
 

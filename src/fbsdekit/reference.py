@@ -24,8 +24,6 @@ from .errors import InvalidArgument, NumericalFailure, UnsupportedProblem
 
 __all__ = ["ErrorReport", "simulate_reference", "compute_errors", "fit_rate"]
 
-_CHUNK_VALUES = 1 << 22
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -65,19 +63,15 @@ def simulate_reference(
     num_paths, dim, dim_w = store.num_paths, problem.dim_x, problem.dim_w
     window = store.fine_n // grid.n
     h_fine = store.horizon / store.fine_n
-    sub = max(1, _CHUNK_VALUES // (num_paths * dim_w))
 
     x_nodes = np.empty((num_paths, grid.n + 1, dim))
     state = np.broadcast_to(problem.x0, (num_paths, dim)).copy()
     x_nodes[:, 0] = state
     coarse = np.zeros((num_paths, grid.n, dim_w))
     for i in range(grid.n):
-        lo = i * window
-        for k0 in range(lo, lo + window, sub):
-            k1 = min(k0 + sub, lo + window)
-            chunk = store.fine_increments(k0, k1)
+        for k0, chunk in store._windows(i * window, (i + 1) * window):
             coarse[:, i, :] += chunk.sum(axis=1)
-            for k in range(k0, k1):
+            for k in range(k0, k0 + chunk.shape[1]):
                 t = k * h_fine
                 u_vals = problem.analytic_u(t, state)
                 v_vals = problem.analytic_v(t, state)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fbsdekit._philox import HAVE_NUMBA, uniform_stream
+from fbsdekit._philox import philox_words, uniform_stream
 from fbsdekit.brownian import (
     coarsen_increments,
     make_time_grid,
@@ -39,13 +39,81 @@ class TestTimeGrid:
             make_time_grid(horizon, n)
 
 
+# Philox-4x32-10 known-answer vectors from Random123 (kat_vectors):
+# (key, counter, output), as 32-bit words.
+PHILOX_KAT = [
+    ((0x00000000, 0x00000000), (0x00000000,) * 4,
+     (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF,) * 4,
+     (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0xA4093822, 0x299F31D0), (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+def philox_reference(key, counter):
+    """Philox-4x32-10 written from the specification, lane by lane.
+
+    ``counter`` holds four Python ints or four equal-shape uint64 arrays
+    of 32-bit values; every lane is evaluated on its own, all at once.
+    """
+    k0, k1 = key
+    x0, x1, x2, x3 = counter
+    for _ in range(10):
+        p0 = x0 * 0xD2511F53
+        p1 = x2 * 0xCD9E8D57
+        x0, x1, x2, x3 = (
+            (p1 >> 32) ^ x1 ^ k0,
+            p1 & 0xFFFFFFFF,
+            (p0 >> 32) ^ x3 ^ k1,
+            p0 & 0xFFFFFFFF,
+        )
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return x0, x1, x2, x3
+
+
+def uniforms_reference(seed, k0, num_paths, n_steps, n_blocks):
+    """The uniform stream with every lane's counter built on its own."""
+    path, step, block = np.meshgrid(
+        np.arange(num_paths, dtype=np.uint64),
+        np.arange(k0, k0 + n_steps, dtype=np.uint64),
+        np.arange(n_blocks, dtype=np.uint64),
+        indexing="ij",
+    )
+    key = (seed & 0xFFFFFFFF, seed >> 32)
+    x0, x1, x2, x3 = philox_reference(key, (step, path, block, np.zeros_like(step)))
+    out = np.empty((num_paths, n_steps, 2 * n_blocks))
+    for col, (hi, lo) in enumerate(((x0, x1), (x2, x3))):
+        bits = ((hi << 32) | lo) >> 11
+        out[:, :, col::2] = (bits.astype(np.float64) + 0.5) * 2.0**-53
+    return out
+
+
 class TestUniformStream:
-    def test_backends_bit_identical(self):
-        if not HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        a = uniform_stream(1234567, 5, 17, 23, 2, use_numba=True)
-        b = uniform_stream(1234567, 5, 17, 23, 2, use_numba=False)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("key,counter,expected", PHILOX_KAT)
+    def test_philox_known_answers(self, key, counter, expected):
+        words = [np.array([c], dtype=np.uint64) for c in counter]
+        scratch = np.empty((2, 1), dtype=np.uint64)
+        philox_words(key[0] | key[1] << 32, *words, *scratch)
+        assert [int(w[0]) for w in words] == list(expected)
+        assert philox_reference(key, counter) == expected
+
+    @pytest.mark.parametrize(
+        "seed,k0,num_paths,n_steps,n_blocks",
+        [
+            (1234567, 5, 17, 23, 3),  # one kernel block of whole paths
+            (2**64 - 1, 11, 5, 7001, 1),  # several blocks of 2 paths each
+            (99, 1000, 2, 20000, 1),  # one path spans two blocks
+            (0x299F31D0A4093822, 3, 3, 6000, 3),  # 18000 lanes: two blocks a path
+        ],
+    )
+    def test_stream_matches_per_lane_evaluation(
+        self, seed, k0, num_paths, n_steps, n_blocks
+    ):
+        expected = uniforms_reference(seed, k0, num_paths, n_steps, n_blocks)
+        got = uniform_stream(seed, k0, num_paths, n_steps, n_blocks)
+        assert np.array_equal(got, expected)
 
     def test_open_unit_interval(self):
         u = uniform_stream(3, 0, 50, 64, 1)
@@ -72,6 +140,16 @@ class TestStore:
         assert np.array_equal(store.fine_increments(37, 101), full[:, 37:101])
         assert np.array_equal(store.fine_increments(0, 1), full[:, 0:1])
         assert np.array_equal(store.fine_increments(255, 256), full[:, 255:256])
+
+    @pytest.mark.parametrize("dim_w,k0,k1", [(4, 1920, 2560), (1, 0, 20480)])
+    def test_path_prefix_matches_smaller_store(self, dim_w, k0, k1):
+        # Path j's increments do not depend on how many paths the store
+        # holds, so few paths can be checked against a large run.
+        wide = sample_fine_increments(7, 128, 20480, dim_w, 0.25)
+        narrow = sample_fine_increments(7, 4, 20480, dim_w, 0.25)
+        assert np.array_equal(
+            wide.fine_increments(k0, k1)[:4], narrow.fine_increments(k0, k1)
+        )
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidArgument):
