@@ -9,7 +9,6 @@ decoupled reference, and a log-log rate fit.  Full-size settings
 import numpy as np
 
 from fbsdekit import (
-    PathBatch,
     SolverConfig,
     example2_problem,
     fit_rate,
@@ -33,12 +32,7 @@ print(f"\n{'N':>4} {'err_x':>10} {'err_y':>10} {'err_z':>10} {'total':>10}")
 
 points = []
 for n in (2, 4, 8, 16, 32):
-    stride = 32 // n
-    reference = PathBatch(
-        x=reference_32.x[:, ::stride],
-        y=reference_32.y[:, ::stride],
-        z=reference_32.z[:, ::stride],
-    )
+    reference = reference_32.strided(32 // n)
     cfg = SolverConfig(n_steps=n, num_iterations=5, num_paths=num_paths,
                        fine_n=fine_n, seed=7)
     result = run_markovian_iteration(problem, cfg, store=store,

@@ -7,7 +7,6 @@ differentiation method converges on the same data.
 """
 
 from fbsdekit import (
-    PathBatch,
     SolverConfig,
     example2_problem,
     make_time_grid,
@@ -24,12 +23,7 @@ reference_32 = simulate_reference(problem, store, make_time_grid(0.25, 32))
 
 print(f"{'N':>4} {'err_z direct':>14} {'err_z differentiation':>22}")
 for n in (4, 8, 16, 32):
-    stride = 32 // n
-    reference = PathBatch(
-        x=reference_32.x[:, ::stride],
-        y=reference_32.y[:, ::stride],
-        z=reference_32.z[:, ::stride],
-    )
+    reference = reference_32.strided(32 // n)
     row = []
     for method in ("direct", "differentiation"):
         cfg = SolverConfig(n_steps=n, num_iterations=5, num_paths=num_paths,

@@ -58,6 +58,7 @@ from .fields import (
     grad_u,
 )
 from .problems import (
+    ClosedFormStep,
     ProblemSpec,
     decoupled_test_problem,
     example1_problem,

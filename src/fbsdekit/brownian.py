@@ -210,3 +210,9 @@ class PathBatch:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
+
+    def strided(self, stride: int) -> PathBatch:
+        """Every ``stride``-th node, starting at node 0, as views."""
+        return PathBatch(
+            x=self.x[:, ::stride], y=self.y[:, ::stride], z=self.z[:, ::stride]
+        )

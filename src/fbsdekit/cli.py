@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .brownian import PathBatch, make_time_grid, sample_fine_increments
+from .brownian import make_time_grid, sample_fine_increments
 from .diagnostics import (
     check_conditions,
     parse_constants,
@@ -217,14 +217,6 @@ class _CsvSink:
                     handle.write(line + "\n")
 
 
-def _slice_reference(reference, stride):
-    return PathBatch(
-        x=reference.x[:, ::stride],
-        y=reference.y[:, ::stride],
-        z=reference.z[:, ::stride],
-    )
-
-
 def _execute(problem, options, n, m, store, reference):
     start = time.perf_counter()
     cfg = _solver_config(options, n, m)
@@ -283,7 +275,7 @@ def cmd_sweep(args) -> int:
             problem, store, make_time_grid(problem.horizon, n_max)
         )
         for v in n_values:
-            references[v] = _slice_reference(base, n_max // v)
+            references[v] = base.strided(n_max // v)
     else:
         for v in sorted(n_values, reverse=True):
             references[v] = simulate_reference(

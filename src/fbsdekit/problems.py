@@ -13,6 +13,14 @@ Coefficient callables are vectorized over paths:
 * ``sigma(t, x, y)``    returning ``(n, dim_x, dim_w)``,
 * ``f(t, x, y, z)``     returning ``(n,)``,
 * ``g(x)``, ``grad_g(x)`` returning ``(n,)`` and ``(n, dim_x)``.
+
+The decoupled reference advances by one call per fine step,
+``ProblemSpec.reference_step(t, x, dw, h)`` with ``x: (n, dim_x)``,
+``dw: (n, dim_w)`` and a float step ``h``, returning the Euler state
+``x + b(t, x, u, v) h + sigma(t, x, u) dw`` of shape ``(n, dim_x)``, where
+``u`` and ``v`` are the analytic fields at ``(t, x)``.  A problem may carry
+a :class:`ClosedFormStep` with the same signature that shares work between
+the four coefficients; example1 and example2 do.
 """
 
 from __future__ import annotations
@@ -26,12 +34,28 @@ from .diagnostics import AssumptionConstants
 from .errors import InvalidArgument
 
 __all__ = [
+    "ClosedFormStep",
     "ProblemSpec",
     "example1_problem",
     "example2_problem",
     "decoupled_test_problem",
     "example1_assumption_constants",
 ]
+
+
+@dataclass(frozen=True)
+class ClosedFormStep:
+    """A reference step written out for one problem.
+
+    ``step(t, x, dw, h)`` must return, bit for bit, what
+    :meth:`ProblemSpec.reference_step` composes from ``coefficients``, the
+    ``(b, sigma, analytic_u, analytic_v)`` it restates: the same formulas,
+    the same operand order in every product, and the association
+    ``x + drift * h + sigma dw``.
+    """
+
+    step: Callable
+    coefficients: tuple
 
 
 @dataclass(frozen=True)
@@ -48,10 +72,32 @@ class ProblemSpec:
     grad_g: Optional[Callable] = None
     analytic_u: Optional[Callable] = None
     analytic_v: Optional[Callable] = None
+    # Used only while b, sigma and analytic_u/v are the callables it
+    # restates: ``dataclasses.replace`` of any of them (a variant problem,
+    # a counting or timing wrapper) would leave it stale, so the spec then
+    # composes the step from its callables instead.
+    closed_form_step: Optional[ClosedFormStep] = None
 
     @property
     def has_analytic_solution(self) -> bool:
         return self.analytic_u is not None and self.analytic_v is not None
+
+    def reference_step(self, t, x, dw, h):
+        """Euler step of the decoupled reference from ``x`` at time ``t``.
+
+        Drift and diffusion are taken at the analytic fields ``u(t, x)``
+        and ``v(t, x)``; returns ``x + b h + sigma dw``.
+        """
+        closed = self.closed_form_step
+        if closed is not None and closed.coefficients == (
+            self.b, self.sigma, self.analytic_u, self.analytic_v
+        ):
+            return closed.step(t, x, dw, h)
+        u_vals = self.analytic_u(t, x)
+        v_vals = self.analytic_v(t, x)
+        drift = self.b(t, x, u_vals, v_vals)
+        smat = self.sigma(t, x, u_vals)
+        return x + drift * h + np.einsum("nic,nc->ni", smat, dw)
 
 
 def example1_problem(
@@ -104,6 +150,13 @@ def example1_problem(
         s = np.sin(x).sum(axis=1)
         return np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x)
 
+    def step(t, x, dw, h):
+        s = np.sin(x).sum(axis=1)
+        y = np.exp(-rate * (T - t)) * s
+        z = np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x)
+        drift = kappa_y * sigma_bar * y[:, None] + kappa_z * z
+        return x + drift * h + (sigma_bar * y)[:, None] * dw
+
     return ProblemSpec(
         name="example1",
         dim_x=d,
@@ -117,6 +170,7 @@ def example1_problem(
         grad_g=grad_g,
         analytic_u=analytic_u,
         analytic_v=analytic_v,
+        closed_form_step=ClosedFormStep(step, (b, sigma, analytic_u, analytic_v)),
     )
 
 
@@ -150,6 +204,12 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
     def analytic_v(t, x):
         return np.square(np.cos(t + x))
 
+    def step(t, x, dw, h):
+        w = t + x
+        sin_w, cos_w = np.sin(w), np.cos(w)
+        drift = -0.5 * sin_w * cos_w * (np.square(sin_w) + np.square(cos_w))
+        return x + drift * h + cos_w * dw
+
     return ProblemSpec(
         name="example2",
         dim_x=1,
@@ -163,6 +223,7 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
         grad_g=grad_g,
         analytic_u=analytic_u,
         analytic_v=analytic_v,
+        closed_form_step=ClosedFormStep(step, (b, sigma, analytic_u, analytic_v)),
     )
 
 

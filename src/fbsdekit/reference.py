@@ -46,6 +46,10 @@ def simulate_reference(
 ) -> PathBatch:
     """Euler-decoupled reference paths, recorded at the coarse nodes.
 
+    Each fine step is one ``problem.reference_step`` call.  A non-finite
+    state raises :class:`NumericalFailure` at the first coarse node it
+    reaches, with that coarse ``step`` and the first bad ``path``.
+
     Streams the fine increments window by window; as a side effect the
     window sums are deposited in the store's coarse cache, so a following
     ``coarsen_increments(store, grid.n)`` costs nothing extra.
@@ -72,19 +76,17 @@ def simulate_reference(
         for k0, chunk in store._windows(i * window, (i + 1) * window):
             coarse[:, i, :] += chunk.sum(axis=1)
             for k in range(k0, k0 + chunk.shape[1]):
-                t = k * h_fine
-                u_vals = problem.analytic_u(t, state)
-                v_vals = problem.analytic_v(t, state)
-                drift = problem.b(t, state, u_vals, v_vals)
-                smat = problem.sigma(t, state, u_vals)
-                state = (
-                    state
-                    + drift * h_fine
-                    + np.einsum("nic,nc->ni", smat, chunk[:, k - k0, :])
+                state = problem.reference_step(
+                    k * h_fine, state, chunk[:, k - k0, :], h_fine
                 )
+        if not np.all(np.isfinite(state)):
+            bad = int(np.argwhere(~np.isfinite(state))[0][0])
+            raise NumericalFailure(
+                f"non-finite reference state while stepping to node {i + 1}",
+                step=i,
+                path=bad,
+            )
         x_nodes[:, i + 1] = state
-    if not np.all(np.isfinite(state)):
-        raise NumericalFailure("reference simulation produced non-finite states")
     store._note_coarse(grid.n, coarse)
 
     y_nodes = np.empty((num_paths, grid.n + 1))

@@ -23,11 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsdekit.brownian import (
-    PathBatch,
-    make_time_grid,
-    sample_fine_increments,
-)
+from fbsdekit.brownian import make_time_grid, sample_fine_increments
 from fbsdekit.fields import QuadraticField, eval_u, eval_v_diff, num_features
 from fbsdekit.problems import (
     decoupled_test_problem,
@@ -62,12 +58,7 @@ def run_sweep(problem, method, store, reference_32):
     reports = {}
     m_totals = None
     for n in SWEEP:
-        stride = SWEEP[-1] // n
-        reference = PathBatch(
-            x=reference_32.x[:, ::stride],
-            y=reference_32.y[:, ::stride],
-            z=reference_32.z[:, ::stride],
-        )
+        reference = reference_32.strided(SWEEP[-1] // n)
         cfg = SolverConfig(
             n_steps=n, num_iterations=ITERATIONS, num_paths=PATHS,
             method=method, seed=SEED, fine_n=FINE_N,

@@ -6,6 +6,7 @@ from scipy import stats
 
 from fbsdekit._philox import philox_words, uniform_stream
 from fbsdekit.brownian import (
+    PathBatch,
     coarsen_increments,
     make_time_grid,
     sample_fine_increments,
@@ -231,3 +232,16 @@ class TestCoarsen:
         store = sample_fine_increments(17, 4000, 64, 1, 0.25)
         coarse = coarsen_increments(store, 4)
         assert np.allclose(coarse.var(), 0.25 / 4, rtol=0.05)
+
+
+def test_strided_batch_views_every_kth_node():
+    rng = np.random.default_rng(0)
+    batch = PathBatch(
+        x=rng.normal(size=(5, 9, 2)), y=rng.normal(size=(5, 9)),
+        z=rng.normal(size=(5, 9, 3)),
+    )
+    thin = batch.strided(4)
+    for got, full in ((thin.x, batch.x), (thin.y, batch.y), (thin.z, batch.z)):
+        assert np.array_equal(got, full[:, [0, 4, 8]])
+        assert got.base is full
+    assert batch.strided(1).num_nodes == 9

@@ -6,6 +6,7 @@ analytic value field, so it certifies that the coded ``b``, ``sigma``,
 hand-derived derivative.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,66 @@ class TestExample2:
         rng = np.random.default_rng(5)
         t, x = sample_interior(problem, rng, n=100)
         assert np.max(np.abs(pde_residual(problem, t, x))) <= 1e-6
+
+
+CLOSED_FORM_PROBLEMS = {
+    "example1": example1_problem,
+    "example1-dim1": lambda: example1_problem(dim=1),
+    "example1-custom": lambda: example1_problem(
+        kappa_y=0.35, kappa_z=0.6, sigma_bar=1.7, rate=2.3, horizon=1.0
+    ),
+    "example2": example2_problem,
+    "example2-T1": lambda: example2_problem(horizon=1.0),
+}
+
+
+class TestClosedFormSteps:
+    """Each closed-form reference step equals the composed step bit for bit.
+
+    The closed forms restate the formulas of ``b``, ``sigma`` and the
+    analytic fields; this is what keeps the two copies in step.
+    """
+
+    @pytest.mark.parametrize("num_paths", [1, 128, 15000])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
+    def test_bit_identical_to_composition(self, name, num_paths):
+        problem = CLOSED_FORM_PROBLEMS[name]()
+        composed = dataclasses.replace(problem, closed_form_step=None)
+        assert problem.closed_form_step is not None
+        rng = np.random.default_rng(num_paths)
+        T = problem.horizon
+        for t in (0.0, 1e-5, 0.123 * T, 0.5 * T, T):
+            for h in (T / 20480, T / 64):
+                # well beyond the truncation box as well as near x0
+                x = problem.x0[None, :] + rng.uniform(
+                    -40.0, 40.0, size=(num_paths, problem.dim_x)
+                )
+                x[: num_paths // 2] = problem.x0 + rng.normal(
+                    scale=0.5, size=(num_paths // 2, problem.dim_x)
+                )
+                dw = rng.normal(scale=math.sqrt(h), size=(num_paths, problem.dim_w))
+                assert np.array_equal(
+                    problem.reference_step(t, x, dw, h),
+                    composed.reference_step(t, x, dw, h),
+                )
+
+    def test_replaced_coefficient_bypasses_the_closed_form(self):
+        problem = example1_problem()
+        seen = []
+
+        def b(t, x, y, z):
+            seen.append(t)
+            return 2.0 * problem.b(t, x, y, z)
+
+        variant = dataclasses.replace(problem, b=b)
+        rng = np.random.default_rng(11)
+        x = problem.x0 + rng.normal(size=(64, 4))
+        dw = rng.normal(scale=0.01, size=(64, 4))
+        stepped = variant.reference_step(0.1, x, dw, 1e-3)
+        composed = dataclasses.replace(variant, closed_form_step=None)
+        assert seen == [0.1]
+        assert np.array_equal(stepped, composed.reference_step(0.1, x, dw, 1e-3))
+        assert not np.array_equal(stepped, problem.reference_step(0.1, x, dw, 1e-3))
 
 
 class TestDecoupledProblems:

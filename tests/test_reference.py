@@ -11,7 +11,7 @@ from fbsdekit.brownian import (
     make_time_grid,
     sample_fine_increments,
 )
-from fbsdekit.errors import InvalidArgument, UnsupportedProblem
+from fbsdekit.errors import InvalidArgument, NumericalFailure, UnsupportedProblem
 from fbsdekit.problems import (
     ProblemSpec,
     decoupled_test_problem,
@@ -99,6 +99,34 @@ class TestSimulateReference:
         store = sample_fine_increments(1, 10, 16, 1, 0.25)
         with pytest.raises(UnsupportedProblem):
             simulate_reference(problem, store, make_time_grid(0.25, 4))
+
+    def test_blow_up_reported_at_its_coarse_step_and_path(self):
+        def b(t, x, y, z):
+            out = np.zeros_like(x)
+            if t >= 0.1:
+                out[[3, 7]] = np.inf
+            return out
+
+        problem = ProblemSpec(
+            name="blow-up",
+            dim_x=1,
+            dim_w=1,
+            x0=np.array([0.0]),
+            horizon=0.25,
+            b=b,
+            sigma=lambda t, x, y: np.ones((x.shape[0], 1, 1)),
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda x: x[:, 0].copy(),
+            analytic_u=lambda t, x: x[:, 0].copy(),
+            analytic_v=lambda t, x: np.ones((x.shape[0], 1)),
+        )
+        store = sample_fine_increments(1, 10, 64, 1, 0.25)
+        # fine step 26 (t = 0.1015625) is the first with t >= 0.1; it lies
+        # in coarse step 3 of 8, which ends at node 4
+        with pytest.raises(NumericalFailure) as err:
+            simulate_reference(problem, store, make_time_grid(0.25, 8))
+        assert (err.value.step, err.value.path) == (3, 3)
+        assert "node 4" in str(err.value)
 
     def test_incompatible_grid(self):
         problem = example2_problem()
