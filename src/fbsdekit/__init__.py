@@ -49,11 +49,9 @@ from .errors import (
     UnsupportedProblem,
 )
 from .fields import (
-    DirectZField,
     QuadraticField,
     eval_u,
     eval_v_diff,
-    eval_v_direct,
     features,
     grad_u,
 )

@@ -5,13 +5,18 @@ ordered as ``[1, x_1..x_d, x_1^2..x_d^2, x_i*x_k for i<k lexicographic]``,
 giving ``P = 1 + 2d + d(d-1)/2`` coefficients.  Inputs are clamped to the
 field's truncation box before the features are formed, so the represented
 function is constant (and its gradient zero) along any clamped direction
-and therefore globally Lipschitz.
+and therefore globally Lipschitz.  This module is the only one that
+clamps to the box or masks the clamped directions.
 
-Two parameterizations of the gradient process are supported:
+:class:`QuadraticField` is the one field type.  Its coefficients are a
+vector ``(P,)`` for a value field or a matrix ``(P, k)`` for a field with
+``k`` components, and :func:`eval_u` evaluates either shape.  The gradient
+process then comes in two forms:
 
 * the differentiation form evaluates ``grad_u(x)^T sigma(t, x, u(x))``,
   reusing the Y-field's coefficients, and
-* the direct form carries an independent coefficient matrix per component.
+* the direct form is a field with one coefficient column per Brownian
+  component, evaluated by :func:`eval_u`.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from .errors import InvalidArgument
 
 __all__ = [
     "QuadraticField",
-    "DirectZField",
     "num_features",
     "features",
     "grad_features",
+    "masked_grad_features",
     "eval_u",
     "grad_u",
     "eval_v_diff",
-    "eval_v_direct",
     "zero_field",
-    "zero_zfield",
     "field_to_record",
     "field_from_record",
 ]
@@ -51,7 +54,11 @@ def _cross_pairs(dim):
 
 @dataclass(frozen=True)
 class QuadraticField:
-    """Scalar quadratic field with a truncation box."""
+    """Quadratic field with a truncation box.
+
+    ``coeffs`` is ``(P,)`` for a scalar field or ``(P, k)`` for a field
+    with ``k`` components, one coefficient column each.
+    """
 
     dim: int
     coeffs: np.ndarray
@@ -59,31 +66,14 @@ class QuadraticField:
     trunc_hi: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (num_features(self.dim),):
+        p = num_features(self.dim)
+        if self.coeffs.ndim not in (1, 2) or self.coeffs.shape[0] != p:
             raise InvalidArgument(
-                f"expected {num_features(self.dim)} coefficients for dim="
-                f"{self.dim}, got shape {self.coeffs.shape}"
+                f"expected {p} coefficient rows for dim={self.dim}, got shape "
+                f"{self.coeffs.shape}"
             )
         if np.any(self.trunc_lo >= self.trunc_hi):
             raise InvalidArgument("truncation box must have positive widths")
-
-
-@dataclass(frozen=True)
-class DirectZField:
-    """Gradient-process field with one coefficient column per component."""
-
-    dim: int
-    dim_w: int
-    coeffs: np.ndarray
-    trunc_lo: np.ndarray
-    trunc_hi: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (num_features(self.dim), self.dim_w):
-            raise InvalidArgument(
-                f"expected coefficient shape ({num_features(self.dim)}, "
-                f"{self.dim_w}), got {self.coeffs.shape}"
-            )
 
 
 def _as_batch(x, dim):
@@ -128,23 +118,31 @@ def clamp(x, field) -> np.ndarray:
     return np.clip(x, field.trunc_lo, field.trunc_hi)
 
 
-def _interior_mask(x, field):
-    return (x > field.trunc_lo) & (x < field.trunc_hi)
+def masked_grad_features(x, field) -> np.ndarray:
+    """Feature Jacobian at the clamped ``x``, zero along clamped directions.
+
+    Shape ``(paths, P, dim)`` for batched ``x`` of shape ``(paths, dim)``.
+    """
+    jac = grad_features(clamp(x, field), field.dim)
+    # scale by zero only the columns of clamped coordinates: they are few,
+    # and a product over all of jac costs as much as building it
+    clamped = np.flatnonzero(~((x > field.trunc_lo) & (x < field.trunc_hi)))
+    jac[clamped // field.dim, :, clamped % field.dim] *= 0.0
+    return jac
 
 
 def eval_u(field: QuadraticField, x) -> np.ndarray:
-    """Value of the clamped field at ``x`` (scalar per path)."""
+    """Value of the clamped field at ``x``: ``(paths,)`` for a scalar
+    field, ``(paths, k)`` for a field with ``k`` components."""
     x, single = _as_batch(x, field.dim)
     vals = features(clamp(x, field), field.dim) @ field.coeffs
     return vals[0] if single else vals
 
 
 def grad_u(field: QuadraticField, x) -> np.ndarray:
-    """Gradient of the clamped field; zero along clamped directions."""
+    """Gradient of the clamped scalar field; zero along clamped directions."""
     x, single = _as_batch(x, field.dim)
-    xc = clamp(x, field)
-    grads = np.einsum("npk,p->nk", grad_features(xc, field.dim), field.coeffs)
-    grads *= _interior_mask(x, field)
+    grads = np.einsum("npk,p->nk", masked_grad_features(x, field), field.coeffs)
     return grads[0] if single else grads
 
 
@@ -161,39 +159,10 @@ def eval_v_diff(field: QuadraticField, sigma, t: float, x) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def eval_v_direct(field: DirectZField, x) -> np.ndarray:
-    """Gradient process from an independently fitted coefficient matrix."""
-    x, single = _as_batch(x, field.dim)
-    vals = features(clamp(x, field), field.dim) @ field.coeffs
-    return vals[0] if single else vals
-
-
-def default_truncation_box(x0, sigma_sq_bound: float, horizon: float):
-    """Box centered at ``x0`` with half-width ``max(3, 6 sqrt(S T))``.
-
-    ``sigma_sq_bound`` is an estimate of the squared diffusion magnitude
-    near the start point; the width covers essentially all paths at the
-    scales this estimate implies.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    half = max(3.0, 6.0 * np.sqrt(max(sigma_sq_bound, 0.0) * horizon))
-    return x0 - half, x0 + half
-
-
 def zero_field(dim: int, trunc_lo, trunc_hi) -> QuadraticField:
     return QuadraticField(
         dim=dim,
         coeffs=np.zeros(num_features(dim)),
-        trunc_lo=np.asarray(trunc_lo, dtype=np.float64),
-        trunc_hi=np.asarray(trunc_hi, dtype=np.float64),
-    )
-
-
-def zero_zfield(dim: int, dim_w: int, trunc_lo, trunc_hi) -> DirectZField:
-    return DirectZField(
-        dim=dim,
-        dim_w=dim_w,
-        coeffs=np.zeros((num_features(dim), dim_w)),
         trunc_lo=np.asarray(trunc_lo, dtype=np.float64),
         trunc_hi=np.asarray(trunc_hi, dtype=np.float64),
     )
@@ -209,20 +178,24 @@ def field_to_record(field, time_index: int) -> dict:
         "trunc_lo": np.asarray(field.trunc_lo).tolist(),
         "trunc_hi": np.asarray(field.trunc_hi).tolist(),
     }
-    if isinstance(field, DirectZField):
-        record["dim_w"] = field.dim_w
+    if field.coeffs.ndim == 2:
+        record["dim_w"] = field.coeffs.shape[1]
     return record
 
 
-def field_from_record(record: dict):
+def field_from_record(record: dict) -> QuadraticField:
+    """Field of a record; one with ``dim_w`` holds a ``(P, dim_w)`` matrix."""
     if record.get("version") != _FORMAT_VERSION:
         raise InvalidArgument(f"unknown field record version {record.get('version')}")
-    common = dict(
+    coeffs = np.asarray(record["coeffs"], dtype=np.float64)
+    columns = (int(record["dim_w"]),) if "dim_w" in record else ()
+    if coeffs.shape[1:] != columns:
+        raise InvalidArgument(
+            f"coefficient shape {coeffs.shape} does not match the record's dim_w"
+        )
+    return QuadraticField(
         dim=int(record["dim"]),
+        coeffs=coeffs,
         trunc_lo=np.asarray(record["trunc_lo"], dtype=np.float64),
         trunc_hi=np.asarray(record["trunc_hi"], dtype=np.float64),
     )
-    coeffs = np.asarray(record["coeffs"], dtype=np.float64)
-    if "dim_w" in record:
-        return DirectZField(coeffs=coeffs, dim_w=int(record["dim_w"]), **common)
-    return QuadraticField(coeffs=coeffs, **common)

@@ -28,18 +28,18 @@ BLAS carries.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
-    DirectZField,
     QuadraticField,
+    clamp,
     eval_u,  # noqa: F401 -- unused here; perfbench/test_tracer.py wraps it here
     features,
-    grad_features,
+    masked_grad_features,
     num_features,
 )
 
@@ -126,13 +126,6 @@ def solve_linear_lsq(design, targets, ridge: float = 0.0) -> np.ndarray:
     return coeffs
 
 
-def _masked_grad_features(x, lo, hi, dim):
-    xc = np.clip(x, lo, hi)
-    jac = grad_features(xc, dim)
-    jac *= ((x > lo) & (x < hi))[:, None, :]
-    return xc, jac
-
-
 def _evaluate_iterate(problem, t, x, phi, jac, coeffs):
     """Value, diffusion and gradient process of one iterate on the step's paths.
 
@@ -169,10 +162,8 @@ def fit_step_differentiation(
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
-    dim = warm_start.dim
-    lo, hi = warm_start.trunc_lo, warm_start.trunc_hi
-    xc, jac = _masked_grad_features(x, lo, hi, dim)
-    phi = features(xc, dim)
+    jac = masked_grad_features(x, warm_start)
+    phi = features(clamp(x, warm_start), warm_start.dim)
     implicit = cfg.f_mode == "implicit-yz"
 
     coeffs = warm_start.coeffs
@@ -208,7 +199,7 @@ def fit_step_differentiation(
                 t, step, last_loss, loss,
             )
         last_loss = loss
-    return QuadraticField(dim=dim, coeffs=coeffs, trunc_lo=lo, trunc_hi=hi)
+    return replace(warm_start, coeffs=coeffs)
 
 
 def fit_step_direct(
@@ -217,8 +208,7 @@ def fit_step_direct(
     x,
     y_next,
     dw,
-    trunc_lo,
-    trunc_hi,
+    warm_start: QuadraticField,
     cfg: RegressionConfig,
     h: float,
     step: int | None = None,
@@ -227,23 +217,20 @@ def fit_step_direct(
     martingale increment ``h^-1 Y_next dW`` (componentwise), then the
     value process against ``Y_next + h f``.
 
-    Returns ``(value field, gradient field)``.
+    ``warm_start`` supplies the truncation box of the returned fields.
+    Returns ``(value field, gradient field)``; the gradient field has one
+    coefficient column per Brownian component.
     """
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
-    dim = x.shape[1]
+    dim = warm_start.dim
     dim_w = dw.shape[1]
-    trunc_lo = np.asarray(trunc_lo, dtype=np.float64)
-    trunc_hi = np.asarray(trunc_hi, dtype=np.float64)
-    phi = features(np.clip(x, trunc_lo, trunc_hi), dim)
+    phi = features(clamp(x, warm_start), dim)
 
     beta = np.empty((num_features(dim), dim_w))
     for comp in range(dim_w):
         beta[:, comp] = solve_linear_lsq(phi, y_next * dw[:, comp] / h, cfg.ridge)
-    zfield = DirectZField(
-        dim=dim, dim_w=dim_w, coeffs=beta, trunc_lo=trunc_lo, trunc_hi=trunc_hi
-    )
     z_vals = phi @ beta
 
     if cfg.f_mode == "explicit-ynext":
@@ -256,7 +243,4 @@ def fit_step_direct(
             targets = y_next + h * problem.f(t, x, y_arg, z_vals)
             alpha = solve_linear_lsq(phi, targets, cfg.ridge)
             y_arg = phi @ alpha
-    ufield = QuadraticField(
-        dim=dim, coeffs=alpha, trunc_lo=trunc_lo, trunc_hi=trunc_hi
-    )
-    return ufield, zfield
+    return replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta)

@@ -8,17 +8,17 @@ forward sweep evaluates the last fields; those paths are what error
 metrics compare against a reference solution.
 
 The truncation box of all fields is chosen once, after the first forward
-sweep, as the componentwise union of an a-priori box around the start
-point and the 0.05%..99.95% quantile range of the simulated states, and
-is frozen for all later iterations so successive fits share one function
-class.
+sweep, from the 0.05%..99.95% quantile range of the simulated states: it
+is centered on the range's midpoint with half-width the larger of 0.55
+times the range and 3.  It is frozen for all later iterations so
+successive fits share one function class.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,16 +33,11 @@ from .brownian import (
 )
 from .errors import InvalidArgument, NumericalFailure
 from .fields import (
-    DirectZField,
-    QuadraticField,
-    default_truncation_box,
     eval_u,
-    eval_v_direct,
     field_from_record,
     field_to_record,
     grad_u,
     zero_field,
-    zero_zfield,
 )
 from .reference import ErrorReport, compute_errors
 from .regression import RegressionConfig, fit_step_differentiation, fit_step_direct
@@ -164,7 +159,7 @@ def forward_simulate(
                 "ni,nic->nc", grad_u(fields_prev[i], state), smat
             )
         else:
-            z[:, i] = eval_v_direct(zfields_prev[i], state)
+            z[:, i] = eval_u(zfields_prev[i], state)
         drift = problem.b(t, state, y[:, i], z[:, i])
         x[:, i + 1] = (
             state + drift * h + np.einsum("nic,nc->ni", smat, increments[:, i])
@@ -212,17 +207,13 @@ def backward_pass(
         t = grid.nodes[i]
         state = paths.x[:, i]
         dw = increments[:, i]
+        args = (problem, t, state, y_next, dw, warm_fields[i], cfg)
         try:
             if method == "differentiation":
-                new_fields[i] = fit_step_differentiation(
-                    problem, t, state, y_next, dw, warm_fields[i], cfg,
-                    h=grid.h, step=i,
-                )
+                new_fields[i] = fit_step_differentiation(*args, h=grid.h, step=i)
             else:
                 new_fields[i], new_zfields[i] = fit_step_direct(
-                    problem, t, state, y_next, dw,
-                    warm_fields[i].trunc_lo, warm_fields[i].trunc_hi, cfg,
-                    h=grid.h, step=i,
+                    *args, h=grid.h, step=i
                 )
         except NumericalFailure as exc:
             exc.iteration = iteration
@@ -241,9 +232,10 @@ def _iteration_seed(seed: int, m: int) -> int:
 def _auto_box(problem, paths: PathBatch):
     """Quantile box of the first sweep's states, floored at half-width 3.
 
-    The floor keeps the box non-degenerate when the zero-field first sweep
-    freezes the paths (diffusion vanishing at zero value), and matches the
-    a-priori default's minimum width.
+    The box is the 0.05%..99.95% quantile range of all states, widened to
+    1.1 times its width about its midpoint.  The floor keeps the box
+    non-degenerate when the zero-field first sweep freezes the paths
+    (diffusion vanishing at zero value).
     """
     flat = paths.x.reshape(-1, paths.dim)
     q_lo = np.quantile(flat, 0.0005, axis=0)
@@ -299,11 +291,13 @@ def run_markovian_iteration(
     per_iteration = [] if reference_paths is not None else None
 
     # zero fields evaluate to zero whatever their box; the placeholder box
-    # is replaced by the data-adaptive one after the first sweep
-    start_box = box or default_truncation_box(problem.x0, 1.0, problem.horizon)
-    fields_prev = [zero_field(problem.dim_x, *start_box)] * cfg.n_steps
+    # x0 +- 3 is replaced by the data-adaptive one after the first sweep
+    start_box = box or (problem.x0 - 3.0, problem.x0 + 3.0)
+    zero = zero_field(problem.dim_x, *start_box)
+    fields_prev = [zero] * cfg.n_steps
     zfields_prev = (
-        [zero_zfield(problem.dim_x, problem.dim_w, *start_box)] * cfg.n_steps
+        [replace(zero, coeffs=np.zeros((zero.coeffs.size, problem.dim_w)))]
+        * cfg.n_steps
         if cfg.method == "direct"
         else None
     )
@@ -379,13 +373,8 @@ def run_markovian_iteration(
 def write_checkpoint(result: IterationResult, path) -> None:
     """Serialize every per-(iteration, step) field as one JSON line."""
     with open(path, "w") as handle:
-        for m, per_step in enumerate(result.fields, start=1):
-            for i, fld in enumerate(per_step):
-                record = field_to_record(fld, time_index=i)
-                record["iteration"] = m
-                handle.write(json.dumps(record) + "\n")
-        if result.zfields is not None:
-            for m, per_step in enumerate(result.zfields, start=1):
+        for iterations in (result.fields, result.zfields or []):
+            for m, per_step in enumerate(iterations, start=1):
                 for i, fld in enumerate(per_step):
                     record = field_to_record(fld, time_index=i)
                     record["iteration"] = m

@@ -1,5 +1,7 @@
 """Tests for quadratic fields, gradients, and the differentiation form."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,9 @@ from hypothesis import strategies as st
 
 from fbsdekit.errors import InvalidArgument
 from fbsdekit.fields import (
-    DirectZField,
     QuadraticField,
     eval_u,
     eval_v_diff,
-    eval_v_direct,
     features,
     field_from_record,
     field_to_record,
@@ -155,34 +155,60 @@ class TestEvalVDiff:
 
 
 class TestEvalVDirect:
+    """Direct-method gradient fields: matrix coefficients read by ``eval_u``."""
+
     def test_zero_coeffs(self):
-        field = DirectZField(
+        field = QuadraticField(
             dim=2,
-            dim_w=3,
             coeffs=np.zeros((num_features(2), 3)),
             trunc_lo=np.full(2, -5.0),
             trunc_hi=np.full(2, 5.0),
         )
-        assert np.array_equal(eval_v_direct(field, np.ones((7, 2))), np.zeros((7, 3)))
+        assert np.array_equal(eval_u(field, np.ones((7, 2))), np.zeros((7, 3)))
 
     def test_constant_component(self):
         coeffs = np.zeros((num_features(1), 2))
         coeffs[0, 1] = 1.0
-        field = DirectZField(
-            dim=1, dim_w=2, coeffs=coeffs,
+        field = QuadraticField(
+            dim=1, coeffs=coeffs,
             trunc_lo=np.array([-5.0]), trunc_hi=np.array([5.0]),
         )
-        out = eval_v_direct(field, np.array([[0.3], [2.0]]))
+        out = eval_u(field, np.array([[0.3], [2.0]]))
         assert np.array_equal(out, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_linear_component(self):
         coeffs = np.zeros((num_features(1), 1))
         coeffs[1, 0] = 1.0
-        field = DirectZField(
-            dim=1, dim_w=1, coeffs=coeffs,
+        field = QuadraticField(
+            dim=1, coeffs=coeffs,
             trunc_lo=np.array([-5.0]), trunc_hi=np.array([5.0]),
         )
-        assert eval_v_direct(field, [0.7])[0] == 0.7
+        assert eval_u(field, [0.7])[0] == 0.7
+
+    @pytest.mark.parametrize("dim, components", [(1, 1), (1, 2), (2, 3), (4, 4)])
+    def test_matrix_field_equals_its_columns(self, dim, components):
+        # dyadic points and coefficients keep every product and sum exact,
+        # so the comparison does not depend on the order in which the BLAS
+        # sums a matrix product (gemm and gemv round differently)
+        rng = np.random.default_rng(dim)
+        coeffs = rng.integers(-8, 9, size=(num_features(dim), components)) / 4.0
+        lo, hi = np.full(dim, -1.0), np.full(dim, 1.5)
+        x = rng.integers(-24, 25, size=(500, dim)) / 8.0  # many outside the box
+        field = QuadraticField(dim, coeffs, lo, hi)
+        columns = np.stack(
+            [eval_u(QuadraticField(dim, coeffs[:, c].copy(), lo, hi), x)
+             for c in range(components)],
+            axis=1,
+        )
+        assert np.array_equal(eval_u(field, x), columns)
+        assert np.array_equal(eval_u(field, x[0]), columns[0])
+
+    def test_coefficient_rows_checked(self):
+        with pytest.raises(InvalidArgument):
+            QuadraticField(
+                dim=2, coeffs=np.zeros((5, 2)),
+                trunc_lo=np.full(2, -1.0), trunc_hi=np.full(2, 1.0),
+            )
 
 
 class TestLipschitz:
@@ -199,6 +225,20 @@ class TestLipschitz:
         assert np.all(lhs <= lip * np.linalg.norm(xs - ys, axis=1) + 1e-12)
 
 
+# Version-1 checkpoint records, one value field and one direct-method
+# gradient field, as ``field_to_record`` writes them.
+VALUE_RECORD = (
+    '{"version": 1, "time_index": 3, "dim": 2, '
+    '"coeffs": [0.5, -1.25, 2.0, 0.0, 3.5, -0.75], '
+    '"trunc_lo": [-2.0, -1.5], "trunc_hi": [4.0, 2.5]}'
+)
+GRADIENT_RECORD = (
+    '{"version": 1, "time_index": 0, "dim": 1, '
+    '"coeffs": [[1.0, -2.0], [0.25, 0.0], [-0.5, 3.0]], '
+    '"trunc_lo": [-3.0], "trunc_hi": [3.0], "dim_w": 2}'
+)
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -210,16 +250,37 @@ class TestSerialization:
         assert np.array_equal(back.trunc_lo, field.trunc_lo)
 
     def test_zfield_round_trip(self):
-        field = DirectZField(
+        field = QuadraticField(
             dim=2,
-            dim_w=2,
             coeffs=np.arange(12, dtype=np.float64).reshape(6, 2),
             trunc_lo=np.full(2, -1.0),
             trunc_hi=np.full(2, 1.0),
         )
         back = field_from_record(field_to_record(field, 0))
-        assert isinstance(back, DirectZField)
+        assert isinstance(back, QuadraticField)
+        assert back.coeffs.shape == (6, 2)
         assert np.array_equal(back.coeffs, field.coeffs)
+
+    @pytest.mark.parametrize("line", [VALUE_RECORD, GRADIENT_RECORD])
+    def test_version_one_records_load_and_write_back(self, line):
+        record = json.loads(line)
+        field = field_from_record(record)
+        assert json.dumps(field_to_record(field, record["time_index"])) == line
+
+    def test_gradient_record_with_empty_box_rejected(self):
+        record = json.loads(GRADIENT_RECORD)
+        record["trunc_lo"], record["trunc_hi"] = record["trunc_hi"], record["trunc_lo"]
+        with pytest.raises(InvalidArgument):
+            field_from_record(record)
+
+    def test_record_columns_must_match_dim_w(self):
+        record = json.loads(GRADIENT_RECORD)
+        record["dim_w"] = 3
+        with pytest.raises(InvalidArgument):
+            field_from_record(record)
+        del record["dim_w"]
+        with pytest.raises(InvalidArgument):
+            field_from_record(record)
 
     def test_zero_field(self):
         field = zero_field(2, np.full(2, -1.0), np.full(2, 1.0))

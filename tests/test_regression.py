@@ -15,7 +15,6 @@ from fbsdekit.fields import (
     QuadraticField,
     eval_u,
     eval_v_diff,
-    eval_v_direct,
     features,
     grad_features,
     zero_field,
@@ -295,6 +294,7 @@ class TestFitStepDirect:
     def setup_method(self):
         self.problem = decoupled_test_problem("brownian-linear")
         self.cfg = RegressionConfig(f_mode="explicit-ynext")
+        self.warm = zero_field(1, *WIDE)
 
     def test_constant_target(self):
         rng = np.random.default_rng(8)
@@ -302,13 +302,13 @@ class TestFitStepDirect:
         x = rng.normal(size=(n, 1))
         dw = np.sqrt(0.05) * rng.normal(size=(n, 1))
         ufield, zfield = fit_step_direct(
-            self.problem, 0.0, x, np.full(n, 3.0), dw, *WIDE, self.cfg, h=0.05
+            self.problem, 0.0, x, np.full(n, 3.0), dw, self.warm, self.cfg, h=0.05
         )
         points = np.linspace(-1.5, 1.5, 9)[:, None]
         assert np.allclose(eval_u(ufield, points), 3.0, atol=1e-8)
         # the gradient regression sees independent noise: values at
         # moderate points shrink like 1/sqrt(n)
-        assert np.max(np.abs(eval_v_direct(zfield, points))) <= 5 * 3.0 / np.sqrt(
+        assert np.max(np.abs(eval_u(zfield, points))) <= 5 * 3.0 / np.sqrt(
             n * 0.05
         )
 
@@ -327,12 +327,12 @@ class TestFitStepDirect:
         dw_i = coarse[:, i, :]
         h = horizon / n_steps
         ufield, zfield = fit_step_direct(
-            self.problem, i * h, x_i, y_next, dw_i, *WIDE, self.cfg, h=h
+            self.problem, i * h, x_i, y_next, dw_i, self.warm, self.cfg, h=h
         )
         tol = 5.0 / np.sqrt(40_000)
         points = np.quantile(x_i[:, 0], [0.2, 0.35, 0.5, 0.65, 0.8])[:, None]
         assert np.max(np.abs(eval_u(ufield, points) - points[:, 0])) <= tol
-        assert np.max(np.abs(eval_v_direct(zfield, points) - 1.0)) <= tol
+        assert np.max(np.abs(eval_u(zfield, points) - 1.0)) <= tol
 
     def test_matches_differentiation_on_linear_model(self):
         # same u recovery as the differentiation method on the synthetic
@@ -340,7 +340,7 @@ class TestFitStepDirect:
         rng = np.random.default_rng(9)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
         ufield, _ = fit_step_direct(
-            self.problem, 0.0, x, y_next, dw, *WIDE, self.cfg, h=0.05
+            self.problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05
         )
         # the u regression sees target a + b x + b dw with dw independent
         # noise of scale 0.05; coefficients match (a, b) at MC accuracy
