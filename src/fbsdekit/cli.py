@@ -1,10 +1,11 @@
 """Experiment driver: single runs, N/M sweeps, and condition diagnostics.
 
-``fbsde run`` executes one solver configuration against its reference
-solution and emits one CSV record; ``fbsde sweep`` repeats that over a
-list of N or M values reusing the same Brownian store (and appends the
-fitted log-log rate of the total error for N sweeps); ``fbsde diagnose``
-evaluates the convergence conditions for a constants file.
+``fbsde sweep`` runs one solver configuration per value in a list of N
+or M values against a reference solution, reusing the same Brownian
+store, and emits one CSV record each (N sweeps append the fitted log-log
+rate of the total error); ``fbsde run`` is the sweep over the single
+value N.  ``fbsde diagnose`` evaluates the convergence conditions for a
+constants file.
 
 Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
@@ -231,22 +232,53 @@ def _execute(problem, options, n, m, store, reference):
     return report, wall_ms
 
 
-def cmd_run(args) -> int:
-    options = _merge_options(args)
+def _sweep(options, sweep, values) -> int:
+    """One CSV row per value of N or M, from one Brownian store.
+
+    When the N values form a divisor chain, one reference at the largest
+    N is strided to each coarser grid; otherwise each N gets its own.
+    """
     problem = _build_problem(options)
-    n, m = options["N"], options["M"]
+    n_values = values if sweep == "N" else [options["N"]]
+    grids = {n: make_time_grid(problem.horizon, n) for n in n_values}
+    for n in grids:
+        if options["fine_n"] % n != 0:
+            raise _CliError(
+                f"fine_n={options['fine_n']} is not divisible by N={n}: "
+                "N must divide fine_n"
+            )
     store = sample_fine_increments(
         options["seed"], options["paths"], options["fine_n"],
         problem.dim_w, problem.horizon,
     )
-    reference = simulate_reference(
-        problem, store, make_time_grid(problem.horizon, n)
-    )
-    report, wall_ms = _execute(problem, options, n, m, store, reference)
+
+    n_max = max(grids)
+    if all(n_max % n == 0 for n in grids):
+        base = simulate_reference(problem, store, grids[n_max])
+        references = {n: base.strided(n_max // n) for n in grids}
+    else:
+        references = {
+            n: simulate_reference(problem, store, grids[n])
+            for n in sorted(grids, reverse=True)
+        }
+
     sink = _CsvSink(options["out"])
-    sink.emit(_format_row(options, report, wall_ms))
+    totals = []
+    for v in values:
+        n = v if sweep == "N" else options["N"]
+        m = v if sweep == "M" else options["M"]
+        report, wall_ms = _execute(problem, options, n, m, store, references[n])
+        totals.append((v, report.total))
+        sink.emit(_format_row(options, report, wall_ms))
+    if sweep == "N" and len(totals) >= 2:
+        sink.emit(f"# rate_total,{repr(fit_rate(totals))}")
     sink.close()
     return 0
+
+
+def cmd_run(args) -> int:
+    options = _merge_options(args)
+    return _sweep(options, "N", [options["N"]])
 
 
 def cmd_sweep(args) -> int:
@@ -257,43 +289,7 @@ def cmd_sweep(args) -> int:
         raise _CliError(f"cannot parse --values {args.values!r}")
     if not values or any(v < 1 for v in values):
         raise _CliError("--values needs positive integers")
-    problem = _build_problem(options)
-    if args.sweep == "N":
-        for v in values:
-            if options["fine_n"] % v != 0:
-                raise _CliError(f"N={v} does not divide fine_n={options['fine_n']}")
-    store = sample_fine_increments(
-        options["seed"], options["paths"], options["fine_n"],
-        problem.dim_w, problem.horizon,
-    )
-
-    n_values = values if args.sweep == "N" else [options["N"]]
-    n_max = max(n_values)
-    references = {}
-    if all(n_max % v == 0 for v in n_values):
-        base = simulate_reference(
-            problem, store, make_time_grid(problem.horizon, n_max)
-        )
-        for v in n_values:
-            references[v] = base.strided(n_max // v)
-    else:
-        for v in sorted(n_values, reverse=True):
-            references[v] = simulate_reference(
-                problem, store, make_time_grid(problem.horizon, v)
-            )
-
-    sink = _CsvSink(options["out"])
-    totals = []
-    for v in values:
-        n = v if args.sweep == "N" else options["N"]
-        m = v if args.sweep == "M" else options["M"]
-        report, wall_ms = _execute(problem, options, n, m, store, references[n])
-        totals.append((v, report.total))
-        sink.emit(_format_row(options, report, wall_ms))
-    if args.sweep == "N" and len(totals) >= 2:
-        sink.emit(f"# rate_total,{repr(fit_rate(totals))}")
-    sink.close()
-    return 0
+    return _sweep(options, args.sweep, values)
 
 
 def cmd_diagnose(args) -> int:

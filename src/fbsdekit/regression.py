@@ -16,7 +16,9 @@ evaluated once from them: ``y = phi theta``, ``sigma(t, X, y)``,
 the frozen quantities of the next linearization.  ``fit_step_direct`` is
 the two-regression baseline: the gradient process is regressed from
 ``h^-1 Y_next dW`` with its own coefficients, then the value process from
-``Y_next + h f``.
+``Y_next + h f``.  Both fits also return the values of the fitted value
+field on the step's states, which the backward pass takes as the previous
+step's target.
 
 The design rows ``phi + jac (sigma dW)`` are per-path ``numpy.einsum``
 contractions, ``sigma dW`` first, and Gram matrices are accumulated with
@@ -150,7 +152,7 @@ def fit_step_differentiation(
     h: float,
     step: int | None = None,
     loss_history: list | None = None,
-) -> QuadraticField:
+) -> tuple[QuadraticField, np.ndarray]:
     """Fit the value field with the gradient process tied by differentiation.
 
     ``warm_start`` supplies the initial frozen iterate and the truncation
@@ -158,6 +160,9 @@ def fit_step_differentiation(
     ``cfg.inner_iters`` times; the empirical joint loss is tracked (pass a
     list as ``loss_history`` to collect it) and material increases are
     logged.
+
+    Returns ``(field, y)`` with ``y`` the field's values on ``x``, equal to
+    ``eval_u(field, x)``.
     """
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
@@ -199,7 +204,7 @@ def fit_step_differentiation(
                 t, step, last_loss, loss,
             )
         last_loss = loss
-    return replace(warm_start, coeffs=coeffs)
+    return replace(warm_start, coeffs=coeffs), y_bar
 
 
 def fit_step_direct(
@@ -212,14 +217,15 @@ def fit_step_direct(
     cfg: RegressionConfig,
     h: float,
     step: int | None = None,
-):
+) -> tuple[QuadraticField, QuadraticField, np.ndarray]:
     """Two-regression baseline: fit the gradient process from the
     martingale increment ``h^-1 Y_next dW`` (componentwise), then the
     value process against ``Y_next + h f``.
 
     ``warm_start`` supplies the truncation box of the returned fields.
-    Returns ``(value field, gradient field)``; the gradient field has one
-    coefficient column per Brownian component.
+    Returns ``(value field, gradient field, y)``; the gradient field has
+    one coefficient column per Brownian component, and ``y`` is the value
+    field on ``x``, equal to ``eval_u(value field, x)``.
     """
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
@@ -233,14 +239,12 @@ def fit_step_direct(
         beta[:, comp] = solve_linear_lsq(phi, y_next * dw[:, comp] / h, cfg.ridge)
     z_vals = phi @ beta
 
-    if cfg.f_mode == "explicit-ynext":
-        targets = y_next + h * problem.f(t, x, y_next, z_vals)
+    # explicit-ynext drives f with Y_next once; implicit-yz refits with
+    # the driver's value argument at the previous round's fitted values
+    rounds = 1 if cfg.f_mode == "explicit-ynext" else cfg.inner_iters
+    y = y_next
+    for _ in range(rounds):
+        targets = y_next + h * problem.f(t, x, y, z_vals)
         alpha = solve_linear_lsq(phi, targets, cfg.ridge)
-    else:
-        y_arg = y_next
-        alpha = None
-        for _ in range(cfg.inner_iters):
-            targets = y_next + h * problem.f(t, x, y_arg, z_vals)
-            alpha = solve_linear_lsq(phi, targets, cfg.ridge)
-            y_arg = phi @ alpha
-    return replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta)
+        y = phi @ alpha
+    return replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta), y

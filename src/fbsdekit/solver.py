@@ -1,11 +1,13 @@
 """Markovian iteration for FBSDEs with drift coupled in Y and Z.
 
-One iteration simulates the forward Euler scheme with the decoupling
-fields of the previous iteration (zero fields initially), then sweeps
-backward through the time steps refitting the fields against the freshly
-simulated paths.  After the configured number of iterations a final
-forward sweep evaluates the last fields; those paths are what error
-metrics compare against a reference solution.
+Iteration ``m`` runs a forward Euler sweep with the decoupling fields of
+iteration ``m - 1`` (zero fields for ``m = 1``), then sweeps backward
+through the time steps refitting the fields against the simulated paths.
+One loop of ``M + 1`` forward sweeps serves both methods: sweep ``m``
+feeds fit ``m`` and also gives iteration ``m - 1``'s error report, and
+sweep ``M + 1`` gives the final paths that error metrics compare against
+a reference solution.  The direct method carries its gradient fields next
+to the value fields; a sweep without them differentiates the value field.
 
 The truncation box of all fields is chosen once, after the first forward
 sweep, from the 0.05%..99.95% quantile range of the simulated states: it
@@ -96,7 +98,7 @@ class SolverConfig:
 
 @dataclass
 class IterationResult:
-    """Fields of every iteration plus the final evaluation sweep."""
+    """Fields of every iteration plus the paths of the final sweep."""
 
     fields: list  # fields[m][i], m = 0..M-1, i = 0..N-1
     zfields: Optional[list]  # direct method only, same indexing
@@ -121,26 +123,24 @@ def forward_simulate(
     fields_prev,
     increments,
     grid: TimeGrid,
-    method: str = "differentiation",
     zfields_prev=None,
     iteration: Optional[int] = None,
 ) -> PathBatch:
     """Forward Euler sweep driven by the previous iteration's fields.
 
-    At each node the value/gradient processes are read from the supplied
-    fields; the terminal node uses the terminal condition and its
-    gradient instead.
+    At each node the value process is read from ``fields_prev``, and the
+    gradient process from ``zfields_prev`` when given (direct method) or
+    else by differentiating the value field.  The terminal node uses the
+    terminal condition and its gradient instead.
     """
-    if method not in METHODS:
-        raise InvalidArgument(f"method must be one of {METHODS}")
     if len(fields_prev) != grid.n:
         raise InvalidArgument(
             f"need {grid.n} per-step fields, got {len(fields_prev)}"
         )
-    if method == "direct" and (
-        zfields_prev is None or len(zfields_prev) != grid.n
-    ):
-        raise InvalidArgument("direct method needs per-step gradient fields")
+    if zfields_prev is not None and len(zfields_prev) != grid.n:
+        raise InvalidArgument(
+            f"need {grid.n} per-step gradient fields, got {len(zfields_prev)}"
+        )
     num_paths = increments.shape[0]
     dim, dim_w = problem.dim_x, problem.dim_w
     x = np.empty((num_paths, grid.n + 1, dim))
@@ -153,7 +153,7 @@ def forward_simulate(
         state = x[:, i]
         y[:, i] = eval_u(fields_prev[i], state)
         smat = problem.sigma(t, state, y[:, i])
-        if method == "differentiation":
+        if zfields_prev is None:
             # eval_v_diff, with the value and diffusion already at hand
             z[:, i] = np.einsum(
                 "ni,nic->nc", grad_u(fields_prev[i], state), smat
@@ -193,36 +193,33 @@ def backward_pass(
     """Refit the per-step fields against freshly simulated paths.
 
     Sweeps ``i = N-1 .. 0``; the regression target at step ``i`` is the
-    next node's value process, read from the terminal condition at the
-    last step and from the freshly fitted field below it.
+    next node's value process: the terminal condition at the last step,
+    and below it the values the fit one step later returned.
 
-    Returns the list of value fields, and for the direct method also the
-    list of gradient fields.
+    Returns ``(fields, zfields)``: the value fields, and the gradient
+    fields of the direct method (``None`` for differentiation).
     """
     n = grid.n
     y_next = problem.g(paths.x[:, n])
-    new_fields = [None] * n
-    new_zfields = [None] * n if method == "direct" else None
+    fields = [None] * n
+    zfields = [None] * n if method == "direct" else None
     for i in range(n - 1, -1, -1):
-        t = grid.nodes[i]
-        state = paths.x[:, i]
-        dw = increments[:, i]
-        args = (problem, t, state, y_next, dw, warm_fields[i], cfg)
+        args = (problem, grid.nodes[i], paths.x[:, i], y_next, increments[:, i],
+                warm_fields[i], cfg)
         try:
-            if method == "differentiation":
-                new_fields[i] = fit_step_differentiation(*args, h=grid.h, step=i)
+            if zfields is None:
+                fields[i], y_next = fit_step_differentiation(
+                    *args, h=grid.h, step=i
+                )
             else:
-                new_fields[i], new_zfields[i] = fit_step_direct(
+                fields[i], zfields[i], y_next = fit_step_direct(
                     *args, h=grid.h, step=i
                 )
         except NumericalFailure as exc:
             exc.iteration = iteration
             exc.step = i
             raise
-        y_next = eval_u(new_fields[i], state)
-    if method == "direct":
-        return new_fields, new_zfields
-    return new_fields
+    return fields, zfields
 
 
 def _iteration_seed(seed: int, m: int) -> int:
@@ -253,16 +250,21 @@ def run_markovian_iteration(
 ) -> IterationResult:
     """Alternate forward simulation and backward refits ``M`` times.
 
-    ``store`` may be shared across runs to reuse cached coarse increments.
-    When ``reference_paths`` is given, an evaluation sweep after every
-    iteration produces one :class:`ErrorReport` per iteration (the report
-    for iteration ``m`` equals what a run with ``num_iterations=m`` would
-    produce, as long as noise is reused).
+    Forward sweep ``m = 1 .. M + 1`` runs on the base increments with the
+    fields of iteration ``m - 1``; it feeds fit ``m``, and sweep ``M + 1``
+    gives ``final_paths``.  ``store`` may be shared across runs to reuse
+    cached coarse increments.  When ``reference_paths`` is given, sweep
+    ``m > 1`` also gives the :class:`ErrorReport` of iteration ``m - 1``,
+    which equals the final report of a run with ``num_iterations=m - 1``.
 
-    With ``fresh_noise`` the fitting iterations use increments drawn at
-    the coarse level from per-iteration seeds; the final evaluation sweep
-    and error reports always use the base increments so they stay
+    With ``fresh_noise`` fit ``m`` runs on its own sweep, on increments
+    drawn at the coarse level from a per-iteration seed; base sweeps then
+    run only for the reports and the final paths, so that both stay
     comparable with a reference driven by the same store.
+
+    A :class:`NumericalFailure` carries ``iteration=m`` when it occurs in
+    sweep ``m`` or fit ``m``, and the fields of the iterations completed
+    before it as ``partial_fields``.
     """
     grid = make_time_grid(problem.horizon, cfg.n_steps)
     if store is None:
@@ -287,85 +289,65 @@ def run_markovian_iteration(
         box = None  # determined after the first forward sweep
 
     all_fields = []
-    all_zfields = [] if cfg.method == "direct" else None
+    all_zfields = []
     per_iteration = [] if reference_paths is not None else None
 
     # zero fields evaluate to zero whatever their box; the placeholder box
     # x0 +- 3 is replaced by the data-adaptive one after the first sweep
     start_box = box or (problem.x0 - 3.0, problem.x0 + 3.0)
     zero = zero_field(problem.dim_x, *start_box)
-    fields_prev = [zero] * cfg.n_steps
-    zfields_prev = (
+    fields = [zero] * cfg.n_steps
+    zfields = (
         [replace(zero, coeffs=np.zeros((zero.coeffs.size, problem.dim_w)))]
         * cfg.n_steps
         if cfg.method == "direct"
         else None
     )
 
-    for m in range(1, cfg.num_iterations + 1):
-        if cfg.fresh_noise:
-            iter_store = sample_fine_increments(
-                _iteration_seed(cfg.seed, m),
-                cfg.num_paths,
-                cfg.n_steps,
-                problem.dim_w,
-                problem.horizon,
-            )
-            increments = iter_store.increments
-        else:
+    try:
+        for m in range(1, cfg.num_iterations + 2):
+            fitting = m <= cfg.num_iterations
+            reporting = per_iteration is not None and m > 1
+            if reporting or not (fitting and cfg.fresh_noise):
+                paths = forward_simulate(
+                    problem, fields, base_coarse, grid, zfields, iteration=m
+                )
+            if reporting:
+                per_iteration.append(
+                    compute_errors(
+                        paths, reference_paths, grid,
+                        n_steps=cfg.n_steps, num_iterations=m - 1,
+                        num_paths=cfg.num_paths, method=cfg.method,
+                        seed=cfg.seed, fine_n=cfg.fine_n,
+                    )
+                )
+            if not fitting:
+                break
             increments = base_coarse
-        try:
-            paths = forward_simulate(
-                problem, fields_prev, increments, grid,
-                method=cfg.method, zfields_prev=zfields_prev, iteration=m,
-            )
+            if cfg.fresh_noise:
+                increments = sample_fine_increments(
+                    _iteration_seed(cfg.seed, m), cfg.num_paths, cfg.n_steps,
+                    problem.dim_w, problem.horizon,
+                ).increments
+                paths = forward_simulate(
+                    problem, fields, increments, grid, zfields, iteration=m
+                )
             if box is None:
                 box = _auto_box(problem, paths)
-                fields_prev = [
-                    zero_field(problem.dim_x, box[0], box[1])
-                ] * cfg.n_steps
-            if cfg.method == "direct":
-                fields_new, zfields_new = backward_pass(
-                    problem, paths, increments, grid, fields_prev, reg_cfg,
-                    method="direct", iteration=m,
-                )
-            else:
-                fields_new = backward_pass(
-                    problem, paths, increments, grid, fields_prev, reg_cfg,
-                    method="differentiation", iteration=m,
-                )
-                zfields_new = None
-        except NumericalFailure as exc:
-            exc.partial_fields = all_fields
-            raise
-        all_fields.append(fields_new)
-        if all_zfields is not None:
-            all_zfields.append(zfields_new)
-        fields_prev = fields_new
-        zfields_prev = zfields_new
-        if per_iteration is not None:
-            eval_paths = forward_simulate(
-                problem, fields_new, base_coarse, grid,
-                method=cfg.method, zfields_prev=zfields_new, iteration=m,
+                fields = [zero_field(problem.dim_x, box[0], box[1])] * cfg.n_steps
+            fields, zfields = backward_pass(
+                problem, paths, increments, grid, fields, reg_cfg,
+                method=cfg.method, iteration=m,
             )
-            per_iteration.append(
-                compute_errors(
-                    eval_paths, reference_paths, grid,
-                    n_steps=cfg.n_steps, num_iterations=m,
-                    num_paths=cfg.num_paths, method=cfg.method,
-                    seed=cfg.seed, fine_n=cfg.fine_n,
-                )
-            )
-
-    final_paths = forward_simulate(
-        problem, fields_prev, base_coarse, grid,
-        method=cfg.method, zfields_prev=zfields_prev,
-        iteration=cfg.num_iterations + 1,
-    )
+            all_fields.append(fields)
+            all_zfields.append(zfields)
+    except NumericalFailure as exc:
+        exc.partial_fields = all_fields
+        raise
     return IterationResult(
         fields=all_fields,
-        zfields=all_zfields,
-        final_paths=final_paths,
+        zfields=all_zfields if cfg.method == "direct" else None,
+        final_paths=paths,
         per_iteration_errors=per_iteration,
     )
 

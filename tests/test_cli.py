@@ -146,6 +146,12 @@ class TestSweep:
         }
         run_row = strip_wall(run_out.strip().splitlines()[1])
         assert sweep_rows["8"] == run_row
+        # a run is the one-value N sweep: same output, no rate line
+        _, one_value_out, _ = run_cli(
+            capsys, ["sweep", "--sweep", "N", "--values", "8"] + base
+        )
+        assert strip_wall(one_value_out) == strip_wall(run_out)
+        assert "#" not in run_out
 
     def test_m_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -164,6 +170,18 @@ class TestSweep:
         )
         assert code == 1
         assert "values" in err
+
+    @pytest.mark.parametrize("n", ["3", "0"])
+    def test_bad_n_has_one_message_for_run_and_sweeps(self, capsys, n):
+        tail = ["--problem", "constant"] + FAST
+        argvs = [["run", "--N", n],
+                 ["sweep", "--sweep", "M", "--values", "1", "--N", n]]
+        if n != "0":  # --values takes positive integers only
+            argvs.append(["sweep", "--sweep", "N", "--values", n])
+        outcomes = {run_cli(capsys, argv + tail)[::2] for argv in argvs}
+        assert len(outcomes) == 1
+        code, err = outcomes.pop()
+        assert code == 1 and err.startswith("error: ")
 
     def test_nondivisor_value_exits_one(self, capsys):
         code, _, err = run_cli(

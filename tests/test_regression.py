@@ -100,7 +100,7 @@ class TestFitStepDifferentiation:
     def test_recovers_exact_linear_model(self):
         rng = np.random.default_rng(4)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
-        field = fit_step_differentiation(
+        field, _ = fit_step_differentiation(
             self.problem, 0.1, x, y_next, dw, self.warm, self.cfg, h=0.05
         )
         assert np.allclose(field.coeffs, [a, b, 0.0], atol=1e-8)
@@ -109,7 +109,7 @@ class TestFitStepDifferentiation:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(300, 1))
         dw = 0.05 * rng.normal(size=(300, 1))
-        field = fit_step_differentiation(
+        field, _ = fit_step_differentiation(
             self.problem, 0.0, x, np.full(300, 2.5), dw, self.warm, self.cfg, h=0.1
         )
         assert np.allclose(field.coeffs, [2.5, 0.0, 0.0], atol=1e-8)
@@ -118,11 +118,11 @@ class TestFitStepDifferentiation:
         # f = 0 and state-independent sigma: one solve reaches the fixed point
         rng = np.random.default_rng(6)
         x, dw, y_next, _ = linear_target_batch(rng)
-        one = fit_step_differentiation(
+        one, _ = fit_step_differentiation(
             self.problem, 0.0, x, y_next, dw, self.warm,
             RegressionConfig(inner_iters=1), h=0.05,
         )
-        three = fit_step_differentiation(
+        three, _ = fit_step_differentiation(
             self.problem, 0.0, x, y_next, dw, self.warm,
             RegressionConfig(inner_iters=3), h=0.05,
         )
@@ -135,7 +135,7 @@ class TestFitStepDifferentiation:
 
         rng = np.random.default_rng(7)
         x, dw, y_next, _ = linear_target_batch(rng)
-        field = fit_step_differentiation(
+        field, _ = fit_step_differentiation(
             self.problem, 0.0, x, y_next, dw, self.warm,
             RegressionConfig(ridge=0.0, inner_iters=1), h=0.05,
         )
@@ -272,7 +272,7 @@ class TestFitStepDifferentiationEvaluations:
     def test_last_loss_is_that_of_the_returned_field(self, inner_iters):
         problem, t, h, x, y_next, dw, warm = example1_batch()
         losses = []
-        field = fit_step_differentiation(
+        field, _ = fit_step_differentiation(
             problem, t, x, y_next, dw, warm,
             RegressionConfig(inner_iters=inner_iters), h=h, loss_history=losses,
         )
@@ -281,13 +281,17 @@ class TestFitStepDifferentiationEvaluations:
 
     @pytest.mark.parametrize("f_mode", ["implicit-yz", "explicit-ynext"])
     def test_matches_loop_over_public_evaluators(self, f_mode):
+        # both fits also return their value field on x, bit for bit as
+        # eval_u gives it, clamped paths included
         problem, t, h, x, y_next, dw, warm = example1_batch()
+        assert np.any((x < warm.trunc_lo) | (x > warm.trunc_hi))
         cfg = RegressionConfig(inner_iters=3, f_mode=f_mode)
-        ours = fit_step_differentiation(
-            problem, t, x, y_next, dw, warm, cfg, h=h
-        ).coeffs
+        field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, cfg, h=h)
         oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h)
-        assert np.linalg.norm(ours - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.linalg.norm(field.coeffs - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.array_equal(y, eval_u(field, x))
+        ufield, _, y = fit_step_direct(problem, t, x, y_next, dw, warm, cfg, h=h)
+        assert np.array_equal(y, eval_u(ufield, x))
 
 
 class TestFitStepDirect:
@@ -301,7 +305,7 @@ class TestFitStepDirect:
         n = 40_000
         x = rng.normal(size=(n, 1))
         dw = np.sqrt(0.05) * rng.normal(size=(n, 1))
-        ufield, zfield = fit_step_direct(
+        ufield, zfield, _ = fit_step_direct(
             self.problem, 0.0, x, np.full(n, 3.0), dw, self.warm, self.cfg, h=0.05
         )
         points = np.linspace(-1.5, 1.5, 9)[:, None]
@@ -326,7 +330,7 @@ class TestFitStepDirect:
         y_next = paths[:, n_steps, 0]
         dw_i = coarse[:, i, :]
         h = horizon / n_steps
-        ufield, zfield = fit_step_direct(
+        ufield, zfield, _ = fit_step_direct(
             self.problem, i * h, x_i, y_next, dw_i, self.warm, self.cfg, h=h
         )
         tol = 5.0 / np.sqrt(40_000)
@@ -339,7 +343,7 @@ class TestFitStepDirect:
         # linear target
         rng = np.random.default_rng(9)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
-        ufield, _ = fit_step_direct(
+        ufield, _, _ = fit_step_direct(
             self.problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05
         )
         # the u regression sees target a + b x + b dw with dw independent

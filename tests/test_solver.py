@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fbsdekit import solver
 from fbsdekit.brownian import (
     coarsen_increments,
     make_time_grid,
@@ -162,7 +163,8 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=4, num_iterations=1, num_paths=2000, fine_n=16
         ).resolved_regression()
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
+        fields, zfields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
+        assert zfields is None
         for fld in fields:
             vals = eval_u(fld, np.linspace(-1.0, 1.0, 7)[:, None])
             assert np.allclose(vals, 2.0, atol=1e-7)
@@ -176,7 +178,7 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=1, num_iterations=1, num_paths=5000, fine_n=1
         ).resolved_regression()
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
+        fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
         assert len(fields) == 1
         # E[W_T | W_0 = 0] = 0 and the field is evaluated only at x0 = 0
         assert abs(eval_u(fields[0], np.zeros((1, 1)))[0]) <= 5.0 / np.sqrt(5000)
@@ -191,7 +193,7 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=n, num_iterations=1, num_paths=lam, fine_n=16
         ).resolved_regression()
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
+        fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
         tol = 5.0 / np.sqrt(lam)
         for i in range(1, n):  # step 0 sees the degenerate single point x0
             xs = np.quantile(paths.x[:, i, 0], [0.25, 0.5, 0.75])[:, None]
@@ -208,7 +210,7 @@ class TestRunMarkovianIteration:
         grid = make_time_grid(0.25, 4)
         inc = coarsen_increments(store, 4)
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
-        fields = backward_pass(
+        fields, _ = backward_pass(
             problem, paths, inc, grid, zero_fields(4),
             cfg.resolved_regression(),
         )
@@ -313,25 +315,52 @@ class TestRunMarkovianIteration:
             assert np.array_equal(fld.trunc_hi, [0.75])
 
     def test_per_iteration_report_matches_shorter_run(self):
-        # with reused noise, the m-th per-iteration report equals the
-        # final report of a run stopped at m iterations
+        # the m-th per-iteration report equals the final report of a run
+        # stopped at m iterations; fresh noise is seeded per iteration
         problem = example2_problem()
         store = sample_fine_increments(12, 500, 64, 1, problem.horizon)
         grid = make_time_grid(problem.horizon, 4)
         reference = simulate_reference(problem, store, grid)
-        long = run_markovian_iteration(
-            problem,
-            SolverConfig(n_steps=4, num_iterations=3, num_paths=500,
-                         fine_n=64, seed=12),
-            store=store, reference_paths=reference,
-        )
-        short = run_markovian_iteration(
-            problem,
-            SolverConfig(n_steps=4, num_iterations=2, num_paths=500,
-                         fine_n=64, seed=12),
-            store=store, reference_paths=reference,
-        )
-        assert long.per_iteration_errors[1].total == short.per_iteration_errors[-1].total
+        for fresh_noise in (False, True):
+            long, short = (
+                run_markovian_iteration(
+                    problem,
+                    SolverConfig(n_steps=4, num_iterations=m, num_paths=500,
+                                 fine_n=64, seed=12, fresh_noise=fresh_noise),
+                    store=store, reference_paths=reference,
+                )
+                for m in (3, 2)
+            )
+            assert (long.per_iteration_errors[1].total
+                    == short.per_iteration_errors[-1].total)
+
+    @pytest.mark.parametrize(
+        "fresh_noise, with_reference, sweeps",
+        [(False, False, 4), (False, True, 4), (True, False, 4), (True, True, 6)],
+    )
+    def test_forward_sweep_count(self, monkeypatch, fresh_noise, with_reference,
+                                 sweeps):
+        # M + 1 sweeps on the base increments; with fresh noise the M fits
+        # sweep their own increments, and base sweeps 2..M give the reports
+        problem = example2_problem()
+        store = sample_fine_increments(13, 300, 16, 1, problem.horizon)
+        grid = make_time_grid(problem.horizon, 4)
+        reference = simulate_reference(problem, store, grid) if with_reference else None
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("iteration"))
+            return forward_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "forward_simulate", counting)
+        cfg = SolverConfig(n_steps=4, num_iterations=3, num_paths=300, fine_n=16,
+                           seed=13, fresh_noise=fresh_noise)
+        result = run_markovian_iteration(problem, cfg, store=store,
+                                         reference_paths=reference)
+        assert len(calls) == sweeps
+        assert calls[-1] == 4
+        if with_reference:
+            assert len(result.per_iteration_errors) == 3
 
     def test_checkpoint_round_trip(self, tmp_path):
         from fbsdekit.solver import read_checkpoint, write_checkpoint
@@ -355,7 +384,8 @@ class TestRunMarkovianIteration:
                 )
 
     def test_partial_fields_attached_on_failure(self):
-        # blow up only once the fields are nonzero (iteration 2 forward)
+        # blow up only once the fields are nonzero: forward sweep 2, which
+        # is the final sweep of a one-iteration run
         problem = ProblemSpec(
             name="late-explode",
             dim_x=1,
@@ -368,11 +398,13 @@ class TestRunMarkovianIteration:
             g=lambda x: x[:, 0].copy(),
             grad_g=lambda x: np.ones_like(x),
         )
-        cfg = SolverConfig(n_steps=4, num_iterations=3, num_paths=200, fine_n=16)
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as err:
-            run_markovian_iteration(problem, cfg)
-        assert len(err.value.partial_fields) >= 1
-        assert err.value.iteration is not None
+        for num_iterations in (1, 3):
+            cfg = SolverConfig(n_steps=4, num_iterations=num_iterations,
+                               num_paths=200, fine_n=16)
+            with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as err:
+                run_markovian_iteration(problem, cfg)
+            assert len(err.value.partial_fields) == 1
+            assert err.value.iteration == 2
 
     def test_default_f_mode_per_method(self):
         diff = SolverConfig(n_steps=4, num_iterations=1, num_paths=10, fine_n=16)
