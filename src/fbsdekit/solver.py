@@ -199,6 +199,8 @@ def backward_pass(
     Returns ``(fields, zfields)``: the value fields, and the gradient
     fields of the direct method (``None`` for differentiation).
     """
+    if method not in METHODS:
+        raise InvalidArgument(f"method must be one of {METHODS}")
     n = grid.n
     y_next = problem.g(paths.x[:, n])
     fields = [None] * n

@@ -183,6 +183,18 @@ class TestBackwardPass:
         # E[W_T | W_0 = 0] = 0 and the field is evaluated only at x0 = 0
         assert abs(eval_u(fields[0], np.zeros((1, 1)))[0]) <= 5.0 / np.sqrt(5000)
 
+    def test_unknown_method_rejected(self):
+        problem = make_problem()
+        grid = make_time_grid(0.25, 2)
+        inc = np.zeros((3, 2, 1))
+        paths = forward_simulate(problem, zero_fields(2), inc, grid)
+        cfg = SolverConfig(
+            n_steps=2, num_iterations=1, num_paths=3, fine_n=2
+        ).resolved_regression()
+        with pytest.raises(InvalidArgument):
+            backward_pass(problem, paths, inc, grid, zero_fields(2), cfg,
+                          method="Direct")
+
     def test_martingale_identity_fields(self):
         problem = decoupled_test_problem("brownian-linear")
         n, lam = 4, 20000
