@@ -1,9 +1,12 @@
-"""Counter-addressed Brownian increments and exact coarsening.
+"""Step-keyed Brownian increments and exact coarsening.
 
-The increment store is a pure function of (seed, path, step, component):
-any window can be generated independently, and window sums are exact in
-double precision, so one fine-grid path can drive every coarse grid in a
-step-size sweep without re-simulation artifacts.
+Fine step k of the store is the draw of numpy's Philox-4x64-10 generator
+keyed by the seed and counted by k,
+Generator(Philox(key=seed, counter=[0, k, 0, 0])).standard_normal((paths, dim_w)),
+and the paths are a prefix of that draw.  Any window can be generated
+independently, and window sums are exact in double precision, so one
+fine-grid path can drive every coarse grid in a step-size sweep without
+re-simulation artifacts.
 """
 
 import numpy as np
@@ -20,6 +23,9 @@ print("window == slice of full array:",
 
 again = sample_fine_increments(42, 6, 512, 1, 0.25).increments
 print("regeneration is bit-identical:", np.array_equal(full, again))
+
+fewer = sample_fine_increments(42, 3, 512, 1, 0.25).increments
+print("paths are a prefix of a larger store:", np.array_equal(fewer, full[:3]))
 
 coarse8 = coarsen_increments(store, 8)
 coarse4 = coarsen_increments(store, 4)

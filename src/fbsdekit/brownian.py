@@ -1,14 +1,18 @@
 """Time grids and reproducible Brownian increments.
 
 The increment store never materializes the full
-``(num_paths, fine_n, dim_w)`` array: every entry is addressed by
-``(seed, path, step, component)`` through the counter-based uniform stream
-in :mod:`fbsdekit._philox`, so any sub-block can be generated
-independently, in any order, on any number of workers, with bit-identical
-results.  Gaussians come from inverting the standard normal CDF on that
-stream.  Readers that stream the whole grid take windows of at most
-``_STREAM_VALUES`` values, so a window bounds the transient memory; the
-Philox kernel itself needs only a few cache-sized buffers.
+``(num_paths, fine_n, dim_w)`` array.  Fine step ``k`` is the draw
+
+    ``Generator(Philox(key=seed, counter=[0, k, 0, 0])).standard_normal((num_paths, dim_w))``
+
+of numpy's Philox-4x64-10 generator, keyed by the seed and counted by the
+step, then scaled and quantized.  Any step window can therefore be
+generated on its own, in any order, with bit-identical results.  Each
+step's draw is filled in C order, so the paths of a store are a prefix of
+the paths of any larger store with the same seed.  Readers that stream the
+whole grid take windows of at most ``_STREAM_VALUES`` values, so a window
+bounds the transient memory.  numpy does not promise ``Generator`` streams
+across releases; a known-answer test pins the values this store draws.
 
 Each increment is rounded to the nearest multiple of ``2**-40``.  The
 rounding perturbs an increment by at most ``~5e-13`` (many orders below
@@ -25,9 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._philox import uniform_stream
 from .errors import InvalidArgument
 
 __all__ = [
@@ -74,10 +76,10 @@ class BrownianStore:
     """Seeded fine-grid Brownian increments, generated on demand.
 
     Entry ``(j, k, c)`` is a draw from ``N(0, horizon / fine_n)``,
-    independent across all indices and fully determined by
-    ``(seed, j, k, c)``.  ``fine_increments`` materializes any step
-    window; the ``increments`` property materializes the whole array
-    (only sensible for small stores).
+    independent across all indices: entry ``(j, c)`` of step ``k``'s
+    Philox draw (see the module docstring).  ``fine_increments``
+    materializes any step window; the ``increments`` property
+    materializes the whole array (only sensible for small stores).
     """
 
     seed: int
@@ -104,14 +106,20 @@ class BrownianStore:
         """
         if not 0 <= k0 <= k1 <= self.fine_n:
             raise InvalidArgument(f"step window [{k0}, {k1}) out of range")
-        n_blocks = (self.dim_w + 1) // 2
-        uniforms = uniform_stream(self.seed, k0, self.num_paths, k1 - k0, n_blocks)
-        out = ndtri(uniforms[:, :, : self.dim_w])
+        out = np.empty((k1 - k0, self.num_paths, self.dim_w))
+        # One generator per call; resetting its state to step k's counter
+        # (buffer empty) equals constructing Philox(key, counter=[0, k, 0, 0]).
+        gen = np.random.Generator(np.random.Philox(key=self.seed))
+        state = gen.bit_generator.state
+        for k in range(k0, k1):
+            state["state"]["counter"][1] = k
+            gen.bit_generator.state = state
+            gen.standard_normal(out=out[k - k0])
         scale = np.sqrt(self.fine_step_variance)
         np.multiply(out, scale / _QUANTUM, out=out)
         np.rint(out, out=out)
         out *= _QUANTUM
-        return out
+        return out.transpose(1, 0, 2)
 
     def _windows(self, lo: int, hi: int):
         """Yield ``(k0, fine_increments(k0, k1))`` over ``[lo, hi)``.

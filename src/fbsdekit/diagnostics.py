@@ -164,6 +164,7 @@ def _prod(a, b):
 
 
 def _golden_section_max(fn, lo, hi, iters=80):
+    """Golden-section maximum of ``fn`` on ``[lo, hi]``: ``(value, argument)``."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -179,7 +180,7 @@ def _golden_section_max(fn, lo, hi, iters=80):
             fd = fn(d)
         if b - a < 1e-12 * max(1.0, abs(a)):
             break
-    return max(fc, fd)
+    return (fc, c) if fc > fd else (fd, d)
 
 
 def gamma1(x, y):
@@ -200,7 +201,7 @@ def gamma1(x, y):
     k = int(np.argmax(vals))
     lo = thetas[max(0, k - 1)]
     hi = thetas[min(len(thetas) - 1, k + 1)]
-    return float(max(vals[k], _golden_section_max(value, lo, hi)))
+    return float(max(vals[k], _golden_section_max(value, lo, hi)[0]))
 
 
 def gamma1_disc(n, x, y, h):
@@ -386,18 +387,12 @@ def compute_c2(c: AssumptionConstants, lip: float, growth: float, lbar: float):
     k = int(np.argmin(vals))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
-    best_val = vals[k]
-    best_lam = grid[k]
-    neg = _golden_section_max(
+    neg, lam_star = _golden_section_max(
         lambda lam: -compute_c2_at(c, lam, lip, growth, lbar), lo, hi
     )
-    if -neg < best_val:
-        best_val = -neg
-        # locate the refined argmin by one more scan of the bracket
-        fine = np.linspace(lo, hi, 64)
-        fvals = [compute_c2_at(c, lam, lip, growth, lbar) for lam in fine]
-        best_lam = float(fine[int(np.argmin(fvals))])
-    return float(best_val), float(best_lam)
+    if -neg < vals[k]:
+        return float(-neg), float(lam_star)
+    return float(vals[k]), float(grid[k])
 
 
 def _default_report_h(c: AssumptionConstants) -> float:

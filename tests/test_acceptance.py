@@ -117,8 +117,8 @@ class TestCriterion1TimeStepConvergenceFullyCoupled:
             f"~1.0 per component) has MSE ~6.5e-2, the same order as err_y. "
             f"The 1-d variant does not clear the thresholds either: at these "
             f"settings (seed 7, 15000 paths, fine_n 20480, N=2..32, M=5) "
-            f"example1_problem(dim=1) gives rate -0.925, err_y 9.40e-5 and "
-            f"err_x 1.41e-4 > 1e-4"
+            f"example1_problem(dim=1) gives rate -0.943, err_y 9.03e-5 and "
+            f"err_x 1.39e-4 > 1e-4"
         )
 
 
@@ -162,14 +162,14 @@ class TestCriterion4IterationBehavior:
             f"independently-fitted Z field ejects the next forward sweep "
             f"(spike at M=3, systematic across seeds 1,2,3,7), whose "
             f"clamped regressions then produce tame fields again (trough "
-            f"at M=4); err_z is 815 of the spike's 821. Mechanism at seed 7: "
+            f"at M=4); err_z is 792 of the spike's 797. Mechanism at seed 7: "
             f"iteration 3 fits its Z fields on states whose step-1 spread "
-            f"is only 0.055 per component (0.34 in iteration 2), where the "
+            f"is only 0.054 per component (0.34 in iteration 2), where the "
             f"quadratic regressions of Y dW / h reach coefficients of "
-            f"2.7e2, 1.9e2, 1.3e2, 94 at steps 1-4 (design condition "
-            f"number 2.7e3); the next sweep evaluates them across the "
-            f"frozen box [-2.21, 3.79] and meets |Z| up to 1.1e3 (about "
-            f"1e3 at seeds 1-3 too, against 3-5 one iteration later). The "
+            f"3.2e2, 1.7e2, 1.2e2, 76 at steps 1-4 (design condition "
+            f"number 2.8e3); the next sweep evaluates them across the "
+            f"frozen box [-2.21, 3.79] and meets |Z| up to 8.7e2 (about "
+            f"1.1e3 at seeds 1-3, against about 3 one iteration later). The "
             f"literal inequality total(5) >= 0.9 total(3) "
             f"compares a trough against the spike and fails, although the "
             f"baseline's failure to converge (the claim under test) is "

@@ -1,10 +1,9 @@
-"""Tests for time grids and the counter-addressed Brownian store."""
+"""Tests for time grids and the Philox-keyed Brownian store."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fbsdekit._philox import philox_words, uniform_stream
 from fbsdekit.brownian import (
     PathBatch,
     coarsen_increments,
@@ -40,86 +39,61 @@ class TestTimeGrid:
             make_time_grid(horizon, n)
 
 
-# Philox-4x32-10 known-answer vectors from Random123 (kat_vectors):
-# (key, counter, output), as 32-bit words.
-PHILOX_KAT = [
-    ((0x00000000, 0x00000000), (0x00000000,) * 4,
-     (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-    ((0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF,) * 4,
-     (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
-    ((0xA4093822, 0x299F31D0), (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
-     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+# A small store, pinned value for value: a numpy release that changes the
+# Philox bit stream or the ziggurat normals changes every draw, and must
+# fail here rather than move the experiments' numbers unnoticed.
+PINNED_SEED = 0x299F31D0A4093822
+PINNED_HEX = [  # (path, step, component) of the store below
+    [["-0x1.8e207c65f0000p-4", "-0x1.0987143e28000p-3"],
+     ["0x1.06c9aa1e32000p-1", "-0x1.1847424f90000p-2"],
+     ["0x1.c1d358ce00000p-9", "0x1.dc274edd00000p-3"],
+     ["0x1.cd8cf162e0000p-4", "-0x1.329b40f860000p-5"],
+     ["-0x1.1f729d9750000p-4", "-0x1.5e4ee7e5b0000p-4"]],
+    [["-0x1.0ea8cdab6c000p-1", "-0x1.43fe462260000p-5"],
+     ["-0x1.b3d60886f4000p-2", "-0x1.05118b8c08000p-3"],
+     ["0x1.1f47a23ffc000p-2", "0x1.fe6cdf89f0000p-4"],
+     ["-0x1.1c762eb470000p-3", "-0x1.698e7326e8000p-3"],
+     ["-0x1.686febe320000p-5", "-0x1.318f066d78000p-3"]],
+    [["0x1.49bda235b0000p-2", "0x1.7423c6087c000p-2"],
+     ["-0x1.21cc3d9380000p-6", "-0x1.e54dd96300000p-7"],
+     ["-0x1.0fbf485de0000p-4", "-0x1.0a97825100000p-4"],
+     ["-0x1.20f67a63cc000p-1", "-0x1.33cd75d5f8000p-3"],
+     ["-0x1.817ce85b58000p-3", "0x1.d9a884f000000p-6"]],
 ]
 
 
-def philox_reference(key, counter):
-    """Philox-4x32-10 written from the specification, lane by lane.
+def pinned_store():
+    return sample_fine_increments(PINNED_SEED, 3, 5, 2, 0.25)
 
-    ``counter`` holds four Python ints or four equal-shape uint64 arrays
-    of 32-bit values; every lane is evaluated on its own, all at once.
-    """
-    k0, k1 = key
-    x0, x1, x2, x3 = counter
-    for _ in range(10):
-        p0 = x0 * 0xD2511F53
-        p1 = x2 * 0xCD9E8D57
-        x0, x1, x2, x3 = (
-            (p1 >> 32) ^ x1 ^ k0,
-            p1 & 0xFFFFFFFF,
-            (p0 >> 32) ^ x3 ^ k1,
-            p0 & 0xFFFFFFFF,
+
+class TestStream:
+    def test_step_is_the_documented_philox_draw(self):
+        # Step k is Generator(Philox(key=seed, counter=[0, k, 0, 0]))
+        # .standard_normal((paths, dim_w)), scaled and quantized to 2^-40.
+        # One call draws every step, so this also checks that the store's
+        # generator starts each step from an empty buffer.
+        store = pinned_store()
+        quantum = 2.0**-40
+        scale = np.sqrt(store.fine_step_variance)
+        draws = [
+            np.random.Generator(
+                np.random.Philox(key=PINNED_SEED, counter=[0, k, 0, 0])
+            ).standard_normal((3, 2))
+            for k in range(store.fine_n)
+        ]
+        expected = np.rint(np.stack(draws, axis=1) * (scale / quantum)) * quantum
+        assert np.array_equal(store.increments, expected)
+
+    def test_quantized_to_two_to_minus_forty(self):
+        units = sample_fine_increments(5, 40, 300, 3, 0.25).increments * 2.0**40
+        assert np.array_equal(units, np.rint(units))
+
+    def test_pinned_values(self):
+        expected = np.vectorize(float.fromhex)(np.array(PINNED_HEX))
+        assert np.array_equal(pinned_store().increments, expected), (
+            "the numpy Philox/standard_normal stream changed; every seeded "
+            "result of the package moves with it"
         )
-        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
-        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
-    return x0, x1, x2, x3
-
-
-def uniforms_reference(seed, k0, num_paths, n_steps, n_blocks):
-    """The uniform stream with every lane's counter built on its own."""
-    path, step, block = np.meshgrid(
-        np.arange(num_paths, dtype=np.uint64),
-        np.arange(k0, k0 + n_steps, dtype=np.uint64),
-        np.arange(n_blocks, dtype=np.uint64),
-        indexing="ij",
-    )
-    key = (seed & 0xFFFFFFFF, seed >> 32)
-    x0, x1, x2, x3 = philox_reference(key, (step, path, block, np.zeros_like(step)))
-    out = np.empty((num_paths, n_steps, 2 * n_blocks))
-    for col, (hi, lo) in enumerate(((x0, x1), (x2, x3))):
-        bits = ((hi << 32) | lo) >> 11
-        out[:, :, col::2] = (bits.astype(np.float64) + 0.5) * 2.0**-53
-    return out
-
-
-class TestUniformStream:
-    @pytest.mark.parametrize("key,counter,expected", PHILOX_KAT)
-    def test_philox_known_answers(self, key, counter, expected):
-        words = [np.array([c], dtype=np.uint64) for c in counter]
-        scratch = np.empty((2, 1), dtype=np.uint64)
-        philox_words(key[0] | key[1] << 32, *words, *scratch)
-        assert [int(w[0]) for w in words] == list(expected)
-        assert philox_reference(key, counter) == expected
-
-    @pytest.mark.parametrize(
-        "seed,k0,num_paths,n_steps,n_blocks",
-        [
-            (1234567, 5, 17, 23, 3),  # one kernel block of whole paths
-            (2**64 - 1, 11, 5, 7001, 1),  # several blocks of 2 paths each
-            (99, 1000, 2, 20000, 1),  # one path spans two blocks
-            (0x299F31D0A4093822, 3, 3, 6000, 3),  # 18000 lanes: two blocks a path
-        ],
-    )
-    def test_stream_matches_per_lane_evaluation(
-        self, seed, k0, num_paths, n_steps, n_blocks
-    ):
-        expected = uniforms_reference(seed, k0, num_paths, n_steps, n_blocks)
-        got = uniform_stream(seed, k0, num_paths, n_steps, n_blocks)
-        assert np.array_equal(got, expected)
-
-    def test_open_unit_interval(self):
-        u = uniform_stream(3, 0, 50, 64, 1)
-        assert u.min() > 0.0
-        assert u.max() < 1.0
 
 
 class TestStore:

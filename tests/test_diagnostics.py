@@ -246,6 +246,8 @@ class TestC2:
         val, lam = compute_c2(c, lip=1.0, growth=1.0, lbar=2.0)
         assert val <= compute_c2_at(c, 1.0, 1.0, 1.0, 2.0) + 1e-12
         assert lam > 0.0
+        # the reported minimizer attains the reported value
+        assert compute_c2_at(c, lam, 1.0, 1.0, 2.0) == val
 
     def test_zero_coupling_gives_zero(self):
         c = constants(b_y=0.0, sigma_y=0.0, b_z=0.0, f_x=0.5, g_x=1.0)
