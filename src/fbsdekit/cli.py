@@ -17,7 +17,6 @@ do not depend on it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -42,16 +41,14 @@ _PROBLEMS = ("example1", "example2", "brownian-linear", "constant")
 
 _DEFAULTS = {
     "problem": "example1",
-    "method": "differentiation",
+    "method": SolverConfig.method,
     "N": 32,
     "M": 5,
     "paths": 15000,
-    "seed": 7,
-    "fine_n": 20480,
-    "ridge": 1e-10,
-    "inner_iters": 3,
-    "f_mode": None,
-    "fresh_noise": False,
+    "seed": SolverConfig.seed,
+    "fine_n": SolverConfig.fine_n,
+    "ridge": RegressionConfig.ridge,
+    "inner_iters": RegressionConfig.inner_iters,
     "out": None,
     "kappa_y": 0.1,
     "kappa_z": 0.1,
@@ -82,10 +79,6 @@ def _add_run_flags(parser):
     parser.add_argument("--fine-n", dest="fine_n", type=int)
     parser.add_argument("--ridge", type=float)
     parser.add_argument("--inner-iters", dest="inner_iters", type=int)
-    parser.add_argument("--f-mode", dest="f_mode",
-                        choices=("implicit-yz", "explicit-ynext"))
-    parser.add_argument("--fresh-noise", dest="fresh_noise",
-                        action="store_const", const=True)
     parser.add_argument("--out", help="append CSV rows to this file")
     parser.add_argument("--config", help="JSON file with defaults")
     parser.add_argument("--kappa-y", dest="kappa_y", type=float)
@@ -161,21 +154,17 @@ def _build_problem(options):
 
 
 def _solver_config(options, n, m) -> SolverConfig:
-    cfg = SolverConfig(
+    return SolverConfig(
         n_steps=n,
         num_iterations=m,
         num_paths=options["paths"],
         method=options["method"],
         seed=options["seed"],
         fine_n=options["fine_n"],
-        fresh_noise=options["fresh_noise"],
+        regression=RegressionConfig(
+            ridge=options["ridge"], inner_iters=options["inner_iters"]
+        ),
     )
-    regression = RegressionConfig(
-        ridge=options["ridge"],
-        inner_iters=options["inner_iters"],
-        f_mode=options["f_mode"] or cfg.resolved_regression().f_mode,
-    )
-    return dataclasses.replace(cfg, regression=regression)
 
 
 def _format_row(options, report, wall_ms) -> str:

@@ -15,10 +15,10 @@ evaluated once from them: ``y = phi theta``, ``sigma(t, X, y)``,
 ``z = (jac theta) sigma`` and ``f(t, X, y, z)`` give its joint loss and
 the frozen quantities of the next linearization.  ``fit_step_direct`` is
 the two-regression baseline: the gradient process is regressed from
-``h^-1 Y_next dW`` with its own coefficients, then the value process from
-``Y_next + h f``.  Both fits also return the values of the fitted value
-field on the step's states, which the backward pass takes as the previous
-step's target.
+``h^-1 Y_next dW`` with its own coefficients, then the value process once
+from ``Y_next + h f(t, X, Y_next, Z)``.  Both fits also return the values
+of the fitted value field on the step's states, which the backward pass
+takes as the previous step's target.
 
 The design rows ``phi + jac (sigma dW)`` are per-path ``numpy.einsum``
 contractions, ``sigma dW`` first, and Gram matrices are accumulated with
@@ -54,7 +54,6 @@ __all__ = [
 
 logger = logging.getLogger("fbsdekit.regression")
 
-_F_MODES = ("implicit-yz", "explicit-ynext")
 _CHUNK = 4096
 
 
@@ -63,22 +62,19 @@ class RegressionConfig:
     """Knobs of the per-step fits.
 
     ``ridge`` scales a Tikhonov term by ``trace(Gram)/P`` so it is
-    invariant under feature rescaling.  ``f_mode`` selects the driver's
-    value argument during fitting: the current field iterate
-    (``implicit-yz``) or the next-step values (``explicit-ynext``).
+    invariant under feature rescaling.  ``inner_iters`` is the number of
+    linearized solves of the differentiation fit; the direct fit makes
+    one value regression and does not use it.
     """
 
     ridge: float = 1e-10
     inner_iters: int = 3
-    f_mode: str = "implicit-yz"
 
     def __post_init__(self):
         if self.ridge < 0.0:
             raise InvalidArgument("ridge must be nonnegative")
         if self.inner_iters < 1:
             raise InvalidArgument("inner_iters must be at least 1")
-        if self.f_mode not in _F_MODES:
-            raise InvalidArgument(f"f_mode must be one of {_F_MODES}")
 
 
 def _chunked_gram(design, targets):
@@ -169,11 +165,10 @@ def fit_step_differentiation(
     dw = np.asarray(dw, dtype=np.float64)
     jac = masked_grad_features(x, warm_start)
     phi = features(clamp(x, warm_start), warm_start.dim)
-    implicit = cfg.f_mode == "implicit-yz"
 
     coeffs = warm_start.coeffs
     y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
-    f_bar = problem.f(t, x, y_bar, z_bar) if implicit else None
+    f_bar = problem.f(t, x, y_bar, z_bar)
     last_loss = None
     losses = loss_history if loss_history is not None else []
     loss_floor = 1e-12 * (1.0 + float(np.mean(np.square(y_next))))
@@ -184,12 +179,11 @@ def fit_step_differentiation(
             )
         sigma_dw = np.einsum("nkc,nc->nk", sigma_bar, dw)
         design = phi + np.einsum("npk,nk->np", jac, sigma_dw)
-        drift = f_bar if implicit else problem.f(t, x, y_next, z_bar)
-        targets = y_next + h * drift
+        targets = y_next + h * f_bar
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
         y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
         # the joint loss of the new iterate; its driver value is also the
-        # next linearization's drift in implicit-yz mode
+        # next linearization's drift
         f_bar = problem.f(t, x, y_bar, z_bar)
         pred = y_bar - h * f_bar + np.einsum("nc,nc->n", z_bar, dw)
         loss = float(np.mean(np.square(y_next - pred)))
@@ -220,7 +214,8 @@ def fit_step_direct(
 ) -> tuple[QuadraticField, QuadraticField, np.ndarray]:
     """Two-regression baseline: fit the gradient process from the
     martingale increment ``h^-1 Y_next dW`` (componentwise), then the
-    value process against ``Y_next + h f``.
+    value process in one regression against ``Y_next + h f(t, X, Y_next, Z)``:
+    the driver takes the next-step values and the fitted gradient process.
 
     ``warm_start`` supplies the truncation box of the returned fields.
     Returns ``(value field, gradient field, y)``; the gradient field has
@@ -237,14 +232,7 @@ def fit_step_direct(
     beta = np.empty((num_features(dim), dim_w))
     for comp in range(dim_w):
         beta[:, comp] = solve_linear_lsq(phi, y_next * dw[:, comp] / h, cfg.ridge)
-    z_vals = phi @ beta
-
-    # explicit-ynext drives f with Y_next once; implicit-yz refits with
-    # the driver's value argument at the previous round's fitted values
-    rounds = 1 if cfg.f_mode == "explicit-ynext" else cfg.inner_iters
-    y = y_next
-    for _ in range(rounds):
-        targets = y_next + h * problem.f(t, x, y, z_vals)
-        alpha = solve_linear_lsq(phi, targets, cfg.ridge)
-        y = phi @ alpha
-    return replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta), y
+    targets = y_next + h * problem.f(t, x, y_next, phi @ beta)
+    alpha = solve_linear_lsq(phi, targets, cfg.ridge)
+    return (replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta),
+            phi @ alpha)

@@ -58,9 +58,6 @@ logger = logging.getLogger("fbsdekit.solver")
 
 METHODS = ("differentiation", "direct")
 
-# Distinct sub-streams per iteration when fresh noise is requested.
-_SEED_STRIDE = 0x9E3779B97F4A7C15
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -70,10 +67,9 @@ class SolverConfig:
     method: str = "differentiation"
     seed: int = 7
     fine_n: int = 20480
-    fresh_noise: bool = False
     trunc_lo: Optional[np.ndarray] = None
     trunc_hi: Optional[np.ndarray] = None
-    regression: Optional[RegressionConfig] = None
+    regression: RegressionConfig = RegressionConfig()
 
     def __post_init__(self):
         for name in ("n_steps", "num_iterations", "num_paths", "fine_n"):
@@ -87,13 +83,6 @@ class SolverConfig:
             raise InvalidArgument(f"method must be one of {METHODS}")
         if (self.trunc_lo is None) != (self.trunc_hi is None):
             raise InvalidArgument("give both trunc_lo and trunc_hi or neither")
-
-    def resolved_regression(self) -> RegressionConfig:
-        if self.regression is not None:
-            return self.regression
-        if self.method == "differentiation":
-            return RegressionConfig(f_mode="implicit-yz")
-        return RegressionConfig(f_mode="explicit-ynext")
 
 
 @dataclass
@@ -224,10 +213,6 @@ def backward_pass(
     return fields, zfields
 
 
-def _iteration_seed(seed: int, m: int) -> int:
-    return (seed + _SEED_STRIDE * m) & 0xFFFFFFFFFFFFFFFF
-
-
 def _auto_box(problem, paths: PathBatch):
     """Quantile box of the first sweep's states, floored at half-width 3.
 
@@ -259,11 +244,6 @@ def run_markovian_iteration(
     ``m > 1`` also gives the :class:`ErrorReport` of iteration ``m - 1``,
     which equals the final report of a run with ``num_iterations=m - 1``.
 
-    With ``fresh_noise`` fit ``m`` runs on its own sweep, on increments
-    drawn at the coarse level from a per-iteration seed; base sweeps then
-    run only for the reports and the final paths, so that both stay
-    comparable with a reference driven by the same store.
-
     A :class:`NumericalFailure` carries ``iteration=m`` when it occurs in
     sweep ``m`` or fit ``m``, and the fields of the iterations completed
     before it as ``partial_fields``.
@@ -280,7 +260,6 @@ def run_markovian_iteration(
     ):
         raise InvalidArgument("store does not match the solver configuration")
     base_coarse = coarsen_increments(store, cfg.n_steps)
-    reg_cfg = cfg.resolved_regression()
 
     if cfg.trunc_lo is not None:
         box = (
@@ -308,13 +287,10 @@ def run_markovian_iteration(
 
     try:
         for m in range(1, cfg.num_iterations + 2):
-            fitting = m <= cfg.num_iterations
-            reporting = per_iteration is not None and m > 1
-            if reporting or not (fitting and cfg.fresh_noise):
-                paths = forward_simulate(
-                    problem, fields, base_coarse, grid, zfields, iteration=m
-                )
-            if reporting:
+            paths = forward_simulate(
+                problem, fields, base_coarse, grid, zfields, iteration=m
+            )
+            if per_iteration is not None and m > 1:
                 per_iteration.append(
                     compute_errors(
                         paths, reference_paths, grid,
@@ -323,22 +299,13 @@ def run_markovian_iteration(
                         seed=cfg.seed, fine_n=cfg.fine_n,
                     )
                 )
-            if not fitting:
+            if m > cfg.num_iterations:
                 break
-            increments = base_coarse
-            if cfg.fresh_noise:
-                increments = sample_fine_increments(
-                    _iteration_seed(cfg.seed, m), cfg.num_paths, cfg.n_steps,
-                    problem.dim_w, problem.horizon,
-                ).increments
-                paths = forward_simulate(
-                    problem, fields, increments, grid, zfields, iteration=m
-                )
             if box is None:
                 box = _auto_box(problem, paths)
                 fields = [zero_field(problem.dim_x, box[0], box[1])] * cfg.n_steps
             fields, zfields = backward_pass(
-                problem, paths, increments, grid, fields, reg_cfg,
+                problem, paths, base_coarse, grid, fields, cfg.regression,
                 method=cfg.method, iteration=m,
             )
             all_fields.append(fields)

@@ -53,15 +53,28 @@ class TestRun:
         assert strip_wall(out1) == strip_wall(out2)
 
     @pytest.mark.parametrize(
-        "method, f_mode",
-        [("differentiation", "implicit-yz"), ("direct", "explicit-ynext")],
+        "flags, config, named",
+        [
+            (["--f-mode", "implicit-yz"], None, "--f-mode"),
+            (["--fresh-noise"], None, "--fresh-noise"),
+            ([], {"f_mode": "explicit-ynext"}, "f_mode"),
+            ([], {"fresh_noise": True}, "fresh_noise"),
+        ],
+        ids=["flag-f-mode", "flag-fresh-noise", "config-f_mode",
+             "config-fresh_noise"],
     )
-    def test_default_f_mode_is_the_solver_default(self, capsys, method, f_mode):
-        argv = ["run", "--problem", "example2", "--N", "4", "--M", "2",
-                "--method", method] + FAST
-        _, default, _ = run_cli(capsys, argv)
-        _, explicit, _ = run_cli(capsys, argv + ["--f-mode", f_mode])
-        assert strip_wall(default) == strip_wall(explicit)
+    def test_removed_options_exit_one(self, capsys, tmp_path, flags, config,
+                                      named):
+        # the method alone fixes the fit, and every iteration runs on the
+        # store's increments: neither choice is settable any more
+        argv = ["run", "--problem", "constant", "--N", "2", "--M", "1"] + FAST
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, _, err = run_cli(capsys, argv + flags)
+        assert code == 1
+        assert named in err
 
     def test_out_file_appends_with_single_header(self, capsys, tmp_path):
         path = tmp_path / "runs.csv"

@@ -144,7 +144,7 @@ class TestFitStepDifferentiation:
         assert np.linalg.norm(field.coeffs - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_inner_loop_loss_behaves_on_benchmark_step(self):
-        # implicit-yz mode on the Z-coupled benchmark at a production step
+        # the Z-coupled benchmark at a production step
         # size: the empirical joint loss settles (material increases would
         # be logged by the fit itself)
         from fbsdekit.brownian import coarsen_increments as coarsen
@@ -225,8 +225,7 @@ def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
         z_bar = eval_v_diff(field, problem.sigma, t, x)
         sigma_bar = problem.sigma(t, x, y_bar)
         design = phi + np.einsum("npk,nkc,nc->np", jac, sigma_bar, dw)
-        y_arg = y_bar if cfg.f_mode == "implicit-yz" else y_next
-        targets = y_next + h * problem.f(t, x, y_arg, z_bar)
+        targets = y_next + h * problem.f(t, x, y_bar, z_bar)
         field = QuadraticField(
             dim=warm.dim,
             coeffs=solve_linear_lsq(design, targets, cfg.ridge),
@@ -240,13 +239,8 @@ class TestFitStepDifferentiationEvaluations:
     """Each iterate is evaluated once and carried into the loss and the
     next linearization."""
 
-    @pytest.mark.parametrize(
-        "f_mode, sigma_calls, f_calls",
-        [("implicit-yz", 4, 4), ("explicit-ynext", 4, 6)],
-    )
-    def test_coefficient_calls_per_fit(self, f_mode, sigma_calls, f_calls):
-        # warm start plus three iterates: one sigma each; f once per
-        # iterate in implicit-yz, and loss plus drift in explicit-ynext
+    def test_coefficient_calls_per_fit(self):
+        # warm start plus three iterates: one sigma and one f each
         problem, t, h, x, y_next, dw, warm = example1_batch(n=500)
         calls = {"sigma": 0, "f": 0}
 
@@ -264,9 +258,9 @@ class TestFitStepDifferentiationEvaluations:
         )
         fit_step_differentiation(
             counting, t, x, y_next, dw, warm,
-            RegressionConfig(inner_iters=3, f_mode=f_mode), h=h,
+            RegressionConfig(inner_iters=3), h=h,
         )
-        assert calls == {"sigma": sigma_calls, "f": f_calls}
+        assert calls == {"sigma": 4, "f": 4}
 
     @pytest.mark.parametrize("inner_iters", [1, 2, 3])
     def test_last_loss_is_that_of_the_returned_field(self, inner_iters):
@@ -279,13 +273,12 @@ class TestFitStepDifferentiationEvaluations:
         assert len(losses) == inner_iters
         assert losses[-1] == joint_loss(problem, t, h, x, y_next, dw, field)
 
-    @pytest.mark.parametrize("f_mode", ["implicit-yz", "explicit-ynext"])
-    def test_matches_loop_over_public_evaluators(self, f_mode):
+    def test_matches_loop_over_public_evaluators(self):
         # both fits also return their value field on x, bit for bit as
         # eval_u gives it, clamped paths included
         problem, t, h, x, y_next, dw, warm = example1_batch()
         assert np.any((x < warm.trunc_lo) | (x > warm.trunc_hi))
-        cfg = RegressionConfig(inner_iters=3, f_mode=f_mode)
+        cfg = RegressionConfig(inner_iters=3)
         field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, cfg, h=h)
         oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h)
         assert np.linalg.norm(field.coeffs - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -297,7 +290,7 @@ class TestFitStepDifferentiationEvaluations:
 class TestFitStepDirect:
     def setup_method(self):
         self.problem = decoupled_test_problem("brownian-linear")
-        self.cfg = RegressionConfig(f_mode="explicit-ynext")
+        self.cfg = RegressionConfig()
         self.warm = zero_field(1, *WIDE)
 
     def test_constant_target(self):
@@ -364,6 +357,29 @@ class TestFitStepDirect:
         # noise of scale 0.05; coefficients match (a, b) at MC accuracy
         assert np.allclose(ufield.coeffs, [a, b, 0.0], atol=5 * 0.05 / np.sqrt(400))
 
+    def test_driver_takes_next_values_and_fitted_gradient(self):
+        # example2's driver y z - cos(t + x) depends on y, so only the
+        # value regression against Y_next + h f(t, X, Y_next, Z) matches
+        from fbsdekit.problems import example2_problem
+
+        problem = example2_problem()
+        n, h = 2000, problem.horizon / 8
+        t = problem.horizon - h
+        rng = np.random.default_rng(21)
+        x = 1.5 + 0.4 * rng.normal(size=(n, 1))
+        dw = np.sqrt(h) * rng.normal(size=(n, 1))
+        y_next = np.sin(problem.horizon + x[:, 0] + dw[:, 0])
+        warm = zero_field(1, np.array([0.8]), np.array([2.2]))
+        ufield, zfield, y = fit_step_direct(
+            problem, t, x, y_next, dw, warm, self.cfg, h=h
+        )
+        phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 1)
+        z = phi @ zfield.coeffs
+        targets = y_next + h * problem.f(t, x, y_next, z)
+        expected = solve_linear_lsq(phi, targets, self.cfg.ridge)
+        assert np.array_equal(ufield.coeffs, expected)
+        assert np.array_equal(y, phi @ expected)
+
 
 class TestRegressionConfig:
     def test_validation(self):
@@ -371,5 +387,3 @@ class TestRegressionConfig:
             RegressionConfig(ridge=-1.0)
         with pytest.raises(InvalidArgument):
             RegressionConfig(inner_iters=0)
-        with pytest.raises(InvalidArgument):
-            RegressionConfig(f_mode="bogus")

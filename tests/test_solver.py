@@ -162,7 +162,7 @@ class TestBackwardPass:
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
         cfg = SolverConfig(
             n_steps=4, num_iterations=1, num_paths=2000, fine_n=16
-        ).resolved_regression()
+        ).regression
         fields, zfields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
         assert zfields is None
         for fld in fields:
@@ -177,7 +177,7 @@ class TestBackwardPass:
         paths = forward_simulate(problem, zero_fields(1), inc, grid)
         cfg = SolverConfig(
             n_steps=1, num_iterations=1, num_paths=5000, fine_n=1
-        ).resolved_regression()
+        ).regression
         fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
         assert len(fields) == 1
         # E[W_T | W_0 = 0] = 0 and the field is evaluated only at x0 = 0
@@ -190,7 +190,7 @@ class TestBackwardPass:
         paths = forward_simulate(problem, zero_fields(2), inc, grid)
         cfg = SolverConfig(
             n_steps=2, num_iterations=1, num_paths=3, fine_n=2
-        ).resolved_regression()
+        ).regression
         with pytest.raises(InvalidArgument):
             backward_pass(problem, paths, inc, grid, zero_fields(2), cfg,
                           method="Direct")
@@ -204,7 +204,7 @@ class TestBackwardPass:
         paths = forward_simulate(problem, zero_fields(n), inc, grid)
         cfg = SolverConfig(
             n_steps=n, num_iterations=1, num_paths=lam, fine_n=16
-        ).resolved_regression()
+        ).regression
         fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
         tol = 5.0 / np.sqrt(lam)
         for i in range(1, n):  # step 0 sees the degenerate single point x0
@@ -224,7 +224,7 @@ class TestRunMarkovianIteration:
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
         fields, _ = backward_pass(
             problem, paths, inc, grid, zero_fields(4),
-            cfg.resolved_regression(),
+            cfg.regression,
         )
         for got, expected in zip(result.fields[0], fields):
             assert np.array_equal(got.coeffs, expected.coeffs)
@@ -268,19 +268,6 @@ class TestRunMarkovianIteration:
             first = result.fields[0][i].coeffs
             last = result.fields[2][i].coeffs
             assert np.array_equal(first, last)
-
-    def test_fresh_noise_changes_fits_not_final_grid(self):
-        problem = example2_problem()
-        base = SolverConfig(n_steps=4, num_iterations=2, num_paths=300, fine_n=16)
-        fresh = SolverConfig(
-            n_steps=4, num_iterations=2, num_paths=300, fine_n=16,
-            fresh_noise=True,
-        )
-        a = run_markovian_iteration(problem, base)
-        b = run_markovian_iteration(problem, fresh)
-        assert not np.array_equal(a.fields[0][0].coeffs, b.fields[0][0].coeffs)
-        b2 = run_markovian_iteration(problem, fresh)
-        assert np.array_equal(b.final_paths.x, b2.final_paths.x)
 
     def test_per_iteration_errors_contract(self):
         problem = example2_problem()
@@ -328,32 +315,26 @@ class TestRunMarkovianIteration:
 
     def test_per_iteration_report_matches_shorter_run(self):
         # the m-th per-iteration report equals the final report of a run
-        # stopped at m iterations; fresh noise is seeded per iteration
+        # stopped at m iterations
         problem = example2_problem()
         store = sample_fine_increments(12, 500, 64, 1, problem.horizon)
         grid = make_time_grid(problem.horizon, 4)
         reference = simulate_reference(problem, store, grid)
-        for fresh_noise in (False, True):
-            long, short = (
-                run_markovian_iteration(
-                    problem,
-                    SolverConfig(n_steps=4, num_iterations=m, num_paths=500,
-                                 fine_n=64, seed=12, fresh_noise=fresh_noise),
-                    store=store, reference_paths=reference,
-                )
-                for m in (3, 2)
+        long, short = (
+            run_markovian_iteration(
+                problem,
+                SolverConfig(n_steps=4, num_iterations=m, num_paths=500,
+                             fine_n=64, seed=12),
+                store=store, reference_paths=reference,
             )
-            assert (long.per_iteration_errors[1].total
-                    == short.per_iteration_errors[-1].total)
+            for m in (3, 2)
+        )
+        assert (long.per_iteration_errors[1].total
+                == short.per_iteration_errors[-1].total)
 
-    @pytest.mark.parametrize(
-        "fresh_noise, with_reference, sweeps",
-        [(False, False, 4), (False, True, 4), (True, False, 4), (True, True, 6)],
-    )
-    def test_forward_sweep_count(self, monkeypatch, fresh_noise, with_reference,
-                                 sweeps):
-        # M + 1 sweeps on the base increments; with fresh noise the M fits
-        # sweep their own increments, and base sweeps 2..M give the reports
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_forward_sweep_count(self, monkeypatch, with_reference):
+        # M + 1 sweeps on the base increments, with or without reports
         problem = example2_problem()
         store = sample_fine_increments(13, 300, 16, 1, problem.horizon)
         grid = make_time_grid(problem.horizon, 4)
@@ -366,10 +347,10 @@ class TestRunMarkovianIteration:
 
         monkeypatch.setattr(solver, "forward_simulate", counting)
         cfg = SolverConfig(n_steps=4, num_iterations=3, num_paths=300, fine_n=16,
-                           seed=13, fresh_noise=fresh_noise)
+                           seed=13)
         result = run_markovian_iteration(problem, cfg, store=store,
                                          reference_paths=reference)
-        assert len(calls) == sweeps
+        assert len(calls) == 4
         assert calls[-1] == 4
         if with_reference:
             assert len(result.per_iteration_errors) == 3
@@ -417,11 +398,3 @@ class TestRunMarkovianIteration:
                 run_markovian_iteration(problem, cfg)
             assert len(err.value.partial_fields) == 1
             assert err.value.iteration == 2
-
-    def test_default_f_mode_per_method(self):
-        diff = SolverConfig(n_steps=4, num_iterations=1, num_paths=10, fine_n=16)
-        direct = SolverConfig(
-            n_steps=4, num_iterations=1, num_paths=10, fine_n=16, method="direct"
-        )
-        assert diff.resolved_regression().f_mode == "implicit-yz"
-        assert direct.resolved_regression().f_mode == "explicit-ynext"
