@@ -17,6 +17,8 @@ do not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import os
 import sys
@@ -39,6 +41,10 @@ CSV_HEADER = "method,problem,N,M,paths,seed,fineN,err_x,err_y,err_z,total,wall_m
 
 _PROBLEMS = ("example1", "example2", "brownian-linear", "constant")
 
+# problem options: a set one reaches the factories that take it (x0 as
+# x0_scalar), an unset one leaves the factory's default
+_PROBLEM_OPTIONS = ("kappa_y", "kappa_z", "sigma_bar", "rate", "dim", "horizon", "x0")
+
 _DEFAULTS = {
     "problem": "example1",
     "method": SolverConfig.method,
@@ -50,13 +56,7 @@ _DEFAULTS = {
     "ridge": RegressionConfig.ridge,
     "inner_iters": RegressionConfig.inner_iters,
     "out": None,
-    "kappa_y": 0.1,
-    "kappa_z": 0.1,
-    "sigma_bar": 1.0,
-    "rate": 1.0,
-    "dim": 4,
-    "horizon": 0.25,
-    "x0": None,
+    **dict.fromkeys(_PROBLEM_OPTIONS),
 }
 
 
@@ -91,15 +91,20 @@ def _add_run_flags(parser):
                         help="start point scalar (example1/example2)")
 
 
+# the flags of run and sweep; --config values are held to their checks
+_RUN_FLAGS = argparse.ArgumentParser(add_help=False)
+_add_run_flags(_RUN_FLAGS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fbsde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="one solver run against its reference")
-    _add_run_flags(run)
+    sub.add_parser("run", parents=[_RUN_FLAGS],
+                   help="one solver run against its reference")
 
-    sweep = sub.add_parser("sweep", help="run over a list of N or M values")
-    _add_run_flags(sweep)
+    sweep = sub.add_parser("sweep", parents=[_RUN_FLAGS],
+                           help="run over a list of N or M values")
     sweep.add_argument("--sweep", choices=("N", "M"), required=True)
     sweep.add_argument("--values", required=True,
                        help="comma-separated positive integers")
@@ -123,7 +128,9 @@ def _merge_options(args) -> dict:
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        options.update(loaded)
+        actions = {a.dest: a for a in _RUN_FLAGS._actions}
+        for key, value in loaded.items():
+            options[key] = _config_value(key, value, actions[key])
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -131,26 +138,30 @@ def _merge_options(args) -> dict:
     return options
 
 
+def _config_value(key, value, action):
+    """``value`` from the config file, held to its flag's checks; JSON
+    integers pass for float flags."""
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted) or (
+        action.choices and value not in action.choices
+    ):
+        expected = "|".join(action.choices or [kind.__name__])
+        raise _CliError(f"config key {key!r} must be {expected}, got {value!r}")
+    return kind(value)
+
+
 def _build_problem(options):
+    """The named problem, from the problem options that were set and that
+    its factory takes; the others are ignored."""
     name = options["problem"]
-    if name == "example1":
-        kwargs = dict(
-            kappa_y=options["kappa_y"],
-            kappa_z=options["kappa_z"],
-            sigma_bar=options["sigma_bar"],
-            rate=options["rate"],
-            dim=options["dim"],
-            horizon=options["horizon"],
-        )
-        if options["x0"] is not None:
-            kwargs["x0_scalar"] = options["x0"]
-        return example1_problem(**kwargs)
-    if name == "example2":
-        kwargs = dict(horizon=options["horizon"])
-        if options["x0"] is not None:
-            kwargs["x0_scalar"] = options["x0"]
-        return example2_problem(**kwargs)
-    return decoupled_test_problem(name, horizon=options["horizon"])
+    # built per call, so a wrapper put over a factory's name here is used
+    factory = {"example1": example1_problem, "example2": example2_problem}.get(
+        name, functools.partial(decoupled_test_problem, name)
+    )
+    takes = inspect.signature(factory).parameters
+    kwargs = {("x0_scalar" if k == "x0" else k): options[k] for k in _PROBLEM_OPTIONS}
+    return factory(**{k: v for k, v in kwargs.items() if k in takes and v is not None})
 
 
 def _solver_config(options, n, m) -> SolverConfig:

@@ -225,26 +225,21 @@ def default_lambdas(c: AssumptionConstants, h: float):
     return lambda2, lambda3
 
 
-def compute_A_constants(
-    c: AssumptionConstants, h: float, lambda2=None, lambda3=None
-):
+def compute_A_constants(c: AssumptionConstants, h: float):
     """The step-size dependent constants ``A1..A5`` and ``B1``, ``B2``.
 
-    With the default multipliers, ``A3`` evaluates to 1.
+    They are taken at the default multipliers, where ``A3`` evaluates to 1.
     """
     if h < 0.0:
         raise InvalidArgument("h must be nonnegative")
-    if lambda2 is None and lambda3 is None:
-        lambda2, lambda3 = default_lambdas(c, h)
-    if lambda2 is None or lambda3 is None:
-        raise InvalidArgument("lambda2 and lambda3 must be given together")
+    lambda2, lambda3 = default_lambdas(c, h)
     if lambda3 <= 0.0:
         raise InvalidArgument(
             f"lambda3={lambda3} <= 0: step size too large for the default "
             f"multipliers, need (1 + K) sqrt(h) + K h < 1"
         )
     if lambda2 <= 0.0:
-        raise InvalidArgument("lambda2 must be positive")
+        raise InvalidArgument("lambda2 = sqrt(h) must be positive")
     kh = c.K * h
     a1 = 2.0 * c.k_b + c.sigma_x + 1.0 + kh
     a2 = c.b_y + c.sigma_y + kh
@@ -329,11 +324,10 @@ def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
 
 
 def compute_c_functions_disc(
-    c: AssumptionConstants, h: float, growth: float, lbar: float,
-    lambda2=None, lambda3=None,
+    c: AssumptionConstants, h: float, growth: float, lbar: float
 ):
     """Discrete-grid versions of ``c0``, ``c1``, ``L2`` at step size ``h``."""
-    a1, a2, _, a4, a5, b1, b2 = compute_A_constants(c, h, lambda2, lambda3)
+    a1, a2, _, a4, a5, b1, b2 = compute_A_constants(c, h)
     d1, d2, d3 = compute_D_constants(c, h, lbar)
     n = int(round(c.T / h))
     arg = (a1 + d1) + _prod(a2 + d2, growth)
@@ -405,18 +399,17 @@ def _default_report_h(c: AssumptionConstants) -> float:
     return min(c.T / 100.0, h_max / 4.0)
 
 
-def check_conditions(c: AssumptionConstants, h: float | None = None) -> DiagnosticsReport:
+def check_conditions(c: AssumptionConstants) -> DiagnosticsReport:
     """Evaluate the three sufficient conditions and all derived constants.
 
     ``Lbar`` is fixed at ``1.01 * L1`` (any value above ``L1`` is
     admissible; a fixed margin keeps reports reproducible).  The ``A``,
-    ``B``, ``D`` constants are reported at step size ``h`` (default:
-    ``T/100``, shrunk if needed to keep the default multipliers valid).
+    ``B``, ``D`` constants are reported at step size ``h = T/100``, shrunk
+    if needed to keep the default multipliers valid.
     """
-    if h is None:
-        h = _default_report_h(c)
+    h = _default_report_h(c)
     lambda2, lambda3 = default_lambdas(c, h)
-    a1, a2, a3, a4, a5, b1, b2 = compute_A_constants(c, h, lambda2, lambda3)
+    a1, a2, a3, a4, a5, b1, b2 = compute_A_constants(c, h)
     l0, l1 = compute_L0_L1(c)
     lbar = 1.01 * l1
     d1, d2, d3 = compute_D_constants(c, h, lbar)

@@ -1,10 +1,12 @@
 """Benchmark FBSDEs with known decoupling fields.
 
 Each problem packages the forward coefficients ``b`` and ``sigma``, the
-driver ``f``, the terminal condition ``g``, and (when available) the
-analytic decoupling fields ``u`` and ``v`` with
-``v(t, x) = grad_x u(t, x) sigma(t, x, u(t, x))``.  The backward component
-is scalar throughout; the gradient process is a ``dim_w`` row vector.
+driver ``f``, the terminal condition ``g`` with its gradient ``grad_g``,
+and (when available) the analytic decoupling fields ``u`` and ``v`` with
+``v(t, x) = grad_x u(t, x) sigma(t, x, u(t, x))``.  ``grad_g`` is
+required: the forward sweep reads the terminal gradient process as
+``grad_g sigma``.  The backward component is scalar throughout; the
+gradient process is a ``dim_w`` row vector.
 
 Coefficient callables are vectorized over paths:
 
@@ -69,7 +71,7 @@ class ProblemSpec:
     sigma: Callable
     f: Callable
     g: Callable
-    grad_g: Optional[Callable] = None
+    grad_g: Callable
     analytic_u: Optional[Callable] = None
     analytic_v: Optional[Callable] = None
     # Used only while b, sigma and analytic_u/v are the callables it

@@ -41,7 +41,7 @@ from .fields import (
     grad_u,
     zero_field,
 )
-from .reference import ErrorReport, compute_errors
+from .reference import compute_errors
 from .regression import RegressionConfig, fit_step_differentiation, fit_step_direct
 
 __all__ = [
@@ -93,18 +93,6 @@ class IterationResult:
     zfields: Optional[list]  # direct method only, same indexing
     final_paths: PathBatch
     per_iteration_errors: Optional[list] = None
-
-
-def _terminal_gradient(problem, x):
-    if problem.grad_g is not None:
-        return np.asarray(problem.grad_g(x), dtype=np.float64)
-    out = np.empty_like(x)
-    for k in range(x.shape[1]):
-        step = 1e-5 * (1.0 + np.abs(x[:, k]))
-        e = np.zeros_like(x)
-        e[:, k] = step
-        out[:, k] = (problem.g(x + e) - problem.g(x - e)) / (2.0 * step)
-    return out
 
 
 def forward_simulate(
@@ -164,7 +152,7 @@ def forward_simulate(
     y[:, grid.n] = problem.g(x[:, grid.n])
     terminal_sigma = problem.sigma(grid.horizon, x[:, grid.n], y[:, grid.n])
     z[:, grid.n] = np.einsum(
-        "ni,nic->nc", _terminal_gradient(problem, x[:, grid.n]), terminal_sigma
+        "ni,nic->nc", problem.grad_g(x[:, grid.n]), terminal_sigma
     )
     return PathBatch(x=x, y=y, z=z)
 

@@ -30,7 +30,7 @@ from fbsdekit.problems import (
     example1_problem,
     example2_problem,
 )
-from fbsdekit.reference import compute_errors, fit_rate, simulate_reference
+from fbsdekit.reference import fit_rate, simulate_reference
 from fbsdekit.solver import SolverConfig, run_markovian_iteration
 from fbsdekit.diagnostics import (
     AssumptionConstants,

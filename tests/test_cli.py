@@ -3,11 +3,14 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from fbsdekit import cli
+from fbsdekit.brownian import make_time_grid, sample_fine_increments
 from fbsdekit.errors import NumericalFailure
+from fbsdekit.problems import decoupled_test_problem, example1_problem
+from fbsdekit.reference import compute_errors, simulate_reference
+from fbsdekit.solver import SolverConfig, run_markovian_iteration
 
 from conftest import THREAD_CAP_VARS
 
@@ -107,6 +110,30 @@ class TestRun:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("ridge", "x"), ("dim", 2.5), ("N", "4")],
+        ids=["string-for-float", "float-for-int", "string-for-int"],
+    )
+    def test_config_value_of_the_wrong_type_exits_one(self, capsys, tmp_path,
+                                                      key, value):
+        config = {"problem": "example1", "N": 4, "M": 1, "paths": 400,
+                  "fine_n": 64}
+        config[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, ["run", "--config", str(path)])
+        assert code == 1
+        assert f"config key {key!r}" in err
+
+    def test_config_takes_integers_for_float_keys(self, capsys, tmp_path):
+        base = ["run", "--problem", "example2", "--N", "4", "--M", "1"] + FAST
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"x0": 1, "horizon": 1}))
+        code, from_config, _ = run_cli(capsys, base + ["--config", str(path)])
+        _, from_flags, _ = run_cli(capsys, base + ["--x0", "1", "--horizon", "1"])
+        assert code == 0
+        assert strip_wall(from_config) == strip_wall(from_flags)
+
     def test_invalid_flag_value_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--method", "bogus"])
         assert code == 1
@@ -130,6 +157,55 @@ class TestRun:
         )
         assert code == 2
         assert "iteration 2" in err and "step 3" in err
+
+
+class TestProblemFlags:
+    @pytest.mark.parametrize(
+        "flags, make_problem",
+        [
+            (["--problem", "example1", "--kappa-y", "0.2", "--kappa-z", "0.05",
+              "--sigma-bar", "0.8", "--rate", "0.5", "--dim", "2",
+              "--horizon", "0.5", "--x0", "0.3"],
+             lambda: example1_problem(kappa_y=0.2, kappa_z=0.05, sigma_bar=0.8,
+                                      rate=0.5, dim=2, horizon=0.5,
+                                      x0_scalar=0.3)),
+            (["--problem", "brownian-linear", "--horizon", "0.5"],
+             lambda: decoupled_test_problem("brownian-linear", horizon=0.5)),
+        ],
+        ids=["example1", "brownian-linear"],
+    )
+    def test_flags_reach_the_factory(self, capsys, flags, make_problem):
+        # the row equals the library's, on the problem the factory builds
+        code, out, _ = run_cli(capsys, ["run", "--N", "4", "--M", "2"] + flags + FAST)
+        assert code == 0
+        problem = make_problem()
+        cfg = SolverConfig(n_steps=4, num_iterations=2, num_paths=400, seed=5,
+                           fine_n=64)
+        grid = make_time_grid(problem.horizon, 4)
+        store = sample_fine_increments(5, 400, 64, problem.dim_w, problem.horizon)
+        result = run_markovian_iteration(problem, cfg, store=store)
+        report = compute_errors(
+            result.final_paths, simulate_reference(problem, store, grid), grid,
+            n_steps=4, num_iterations=2, num_paths=400, method=cfg.method,
+            seed=5, fine_n=64,
+        )
+        row = [cfg.method, problem.name, "4", "2", "400", "5", "64"] + [
+            repr(v) for v in (report.err_x, report.err_y, report.err_z, report.total)
+        ]
+        assert strip_wall(out) == cli.CSV_HEADER + "\n" + ",".join(row)
+
+    @pytest.mark.parametrize(
+        "problem, ignored",
+        [("example2", ["--kappa-y", "0.2", "--dim", "3"]),
+         ("constant", ["--x0", "2", "--dim", "5", "--kappa-z", "3"])],
+    )
+    def test_flags_the_factory_does_not_take_are_ignored(self, capsys, problem,
+                                                         ignored):
+        base = ["run", "--problem", problem, "--N", "4", "--M", "2"] + FAST
+        _, plain, _ = run_cli(capsys, base)
+        code, flagged, _ = run_cli(capsys, base + ignored)
+        assert code == 0
+        assert strip_wall(flagged) == strip_wall(plain)
 
 
 class TestSweep:

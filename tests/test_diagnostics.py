@@ -136,6 +136,13 @@ class TestAConstants:
         with pytest.raises(InvalidArgument):
             compute_A_constants(constants(K=10.0), 0.25)
 
+    @pytest.mark.parametrize(
+        "h, match", [(0.0, "lambda2"), (-0.01, "h must be nonnegative")]
+    )
+    def test_zero_or_negative_step_raises(self, h, match):
+        with pytest.raises(InvalidArgument, match=match):
+            compute_A_constants(constants(K=1.0), h)
+
     def test_b_constants(self):
         c = constants(K=2.0, b_0=1.0, sigma_0=0.5, f_0=3.0)
         _, _, _, _, _, b1, b2 = compute_A_constants(c, 0.001)

@@ -33,6 +33,7 @@ class TestSimulateReference:
             sigma=lambda t, x, y: np.zeros((x.shape[0], 1, 1)),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda x: np.square(x[:, 0]),
+            grad_g=lambda x: 2.0 * x,
             analytic_u=lambda t, x: (1.0 + t) * np.square(x[:, 0]),
             analytic_v=lambda t, x: np.zeros((x.shape[0], 1)),
         )
@@ -95,6 +96,7 @@ class TestSimulateReference:
             sigma=lambda t, x, y: np.ones((x.shape[0], 1, 1)),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda x: x[:, 0],
+            grad_g=lambda x: np.ones_like(x),
         )
         store = sample_fine_increments(1, 10, 16, 1, 0.25)
         with pytest.raises(UnsupportedProblem):
@@ -117,6 +119,7 @@ class TestSimulateReference:
             sigma=lambda t, x, y: np.ones((x.shape[0], 1, 1)),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda x: x[:, 0].copy(),
+            grad_g=lambda x: np.ones_like(x),
             analytic_u=lambda t, x: x[:, 0].copy(),
             analytic_v=lambda t, x: np.ones((x.shape[0], 1)),
         )

@@ -88,17 +88,6 @@ class TestForwardSimulate:
         assert np.array_equal(paths.y[:, 2], paths.x[:, 2, 0])
         assert np.allclose(paths.z[:, 2, 0], 1.0)  # grad_g * sigma = 1
 
-    def test_finite_difference_terminal_gradient(self):
-        problem = make_problem(drift=0.0, vol=1.0)
-        problem = ProblemSpec(
-            **{**problem.__dict__, "grad_g": None, "name": "toy-fd"}
-        )
-        grid = make_time_grid(0.25, 2)
-        store = sample_fine_increments(4, 50, 4, 1, 0.25)
-        inc = coarsen_increments(store, 2)
-        paths = forward_simulate(problem, zero_fields(2), inc, grid)
-        assert np.allclose(paths.z[:, 2, 0], 1.0, atol=1e-9)
-
     def test_non_finite_state_raises_with_location(self):
         problem = ProblemSpec(
             name="explode",
