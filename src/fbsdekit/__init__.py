@@ -56,7 +56,7 @@ from .fields import (
     grad_u,
 )
 from .problems import (
-    ClosedFormStep,
+    ClosedForm,
     ProblemSpec,
     decoupled_test_problem,
     example1_problem,

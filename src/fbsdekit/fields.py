@@ -17,6 +17,18 @@ process then comes in two forms:
   reusing the Y-field's coefficients, and
 * the direct form is a field with one coefficient column per Brownian
   component, evaluated by :func:`eval_u`.
+
+Derivatives never form the feature Jacobian, which is ``(paths, P, dim)``
+and mostly zeros.  On the clamped states ``xc``, with the directions
+along which the box clamps zeroed by the mask of :func:`inside_box`,
+:func:`clamped_gradient` gives component ``k`` of the gradient as
+``c[1+k] + (2 xc_k) c[1+d+k] + sum of xc_other c_pair`` over the cross
+features holding ``x_k``, and :func:`feature_derivative` gives the
+features' derivative along ``w`` as the row
+``[0, w, (2 xc) w, xc_k w_i + xc_i w_k]``.  Each adds the non-zero terms
+of the Jacobian contraction in feature order, so both equal the dense
+``numpy.einsum`` contractions bit for bit; a zero of the feature
+derivative along a clamped direction may differ in its sign.
 """
 
 from __future__ import annotations
@@ -31,8 +43,8 @@ __all__ = [
     "QuadraticField",
     "num_features",
     "features",
-    "grad_features",
-    "masked_grad_features",
+    "clamped_gradient",
+    "feature_derivative",
     "eval_u",
     "grad_u",
     "eval_v_diff",
@@ -100,35 +112,42 @@ def features(x, dim: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def grad_features(x, dim: int) -> np.ndarray:
-    """Jacobian of the features: shape ``(paths, P, dim)``; no clamping."""
-    x, single = _as_batch(x, dim)
-    n = x.shape[0]
-    out = np.zeros((n, num_features(dim), dim))
-    for k in range(dim):
-        out[:, 1 + k, k] = 1.0
-        out[:, 1 + dim + k, k] = 2.0 * x[:, k]
-    for p, (i, k) in enumerate(_cross_pairs(dim)):
-        out[:, 1 + 2 * dim + p, i] = x[:, k]
-        out[:, 1 + 2 * dim + p, k] = x[:, i]
-    return out[0] if single else out
-
-
 def clamp(x, field) -> np.ndarray:
     return np.clip(x, field.trunc_lo, field.trunc_hi)
 
 
-def masked_grad_features(x, field) -> np.ndarray:
-    """Feature Jacobian at the clamped ``x``, zero along clamped directions.
+def inside_box(x, field) -> np.ndarray:
+    """Mask of the coordinates of ``x`` strictly inside the field's box.
 
-    Shape ``(paths, P, dim)`` for batched ``x`` of shape ``(paths, dim)``.
+    Along the others the clamped field is constant: its gradient and the
+    derivatives of its features vanish there.
     """
-    jac = grad_features(clamp(x, field), field.dim)
-    # scale by zero only the columns of clamped coordinates: they are few,
-    # and a product over all of jac costs as much as building it
-    clamped = np.flatnonzero(~((x > field.trunc_lo) & (x < field.trunc_hi)))
-    jac[clamped // field.dim, :, clamped % field.dim] *= 0.0
-    return jac
+    return (x > field.trunc_lo) & (x < field.trunc_hi)
+
+
+def clamped_gradient(coeffs, xc, inside) -> np.ndarray:
+    """Gradient ``(paths, dim)`` of the scalar quadratic ``coeffs`` at the
+    clamped states ``xc``, zero where ``inside`` is false."""
+    dim = xc.shape[1]
+    grads = coeffs[1 : 1 + dim] + (2.0 * xc) * coeffs[1 + dim : 1 + 2 * dim]
+    for p, (i, k) in enumerate(_cross_pairs(dim)):
+        grads[:, i] += xc[:, k] * coeffs[1 + 2 * dim + p]
+        grads[:, k] += xc[:, i] * coeffs[1 + 2 * dim + p]
+    return np.where(inside, grads, 0.0)
+
+
+def feature_derivative(xc, inside, w) -> np.ndarray:
+    """Derivative ``(paths, P)`` of the features at the clamped states
+    ``xc`` along the directions ``w``, zero along clamped coordinates."""
+    n, dim = xc.shape
+    w = w * inside
+    out = np.empty((n, num_features(dim)))
+    out[:, 0] = 0.0
+    out[:, 1 : 1 + dim] = w
+    out[:, 1 + dim : 1 + 2 * dim] = (2.0 * xc) * w
+    for p, (i, k) in enumerate(_cross_pairs(dim)):
+        out[:, 1 + 2 * dim + p] = xc[:, k] * w[:, i] + xc[:, i] * w[:, k]
+    return out
 
 
 def eval_u(field: QuadraticField, x) -> np.ndarray:
@@ -142,7 +161,7 @@ def eval_u(field: QuadraticField, x) -> np.ndarray:
 def grad_u(field: QuadraticField, x) -> np.ndarray:
     """Gradient of the clamped scalar field; zero along clamped directions."""
     x, single = _as_batch(x, field.dim)
-    grads = np.einsum("npk,p->nk", masked_grad_features(x, field), field.coeffs)
+    grads = clamped_gradient(field.coeffs, clamp(x, field), inside_box(x, field))
     return grads[0] if single else grads
 
 

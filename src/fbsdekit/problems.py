@@ -20,13 +20,24 @@ The decoupled reference advances by one call per fine step,
 ``ProblemSpec.reference_step(t, x, dw, h)`` with ``x: (n, dim_x)``,
 ``dw: (n, dim_w)`` and a float step ``h``, returning the Euler state
 ``x + b(t, x, u, v) h + sigma(t, x, u) dw`` of shape ``(n, dim_x)``, where
-``u`` and ``v`` are the analytic fields at ``(t, x)``.  A problem may carry
-a :class:`ClosedFormStep` with the same signature that shares work between
-the four coefficients; example1 and example2 do.
+``u`` and ``v`` are the analytic fields at ``(t, x)``.
+
+The solver takes its coefficients bound to one step's states,
+``ProblemSpec.at(t, x)``: ``b(y, z)``, ``f(y, z)`` and ``diffusion(y)``,
+the last an action of ``sigma(t, x, y)`` with ``apply(w)`` (``sigma w``,
+shape ``(n, dim_x)``), ``gradient(g)`` (``g^T sigma``, shape
+``(n, dim_w)``) and ``finite()``.  By default these compose the callables
+above.  A problem may carry a :class:`ClosedForm` that restates both the
+reference step and ``at`` and shares work between the coefficients:
+example1 and example2 do.  Their ``at`` computes the state-only terms of
+the driver once per step, on its first call, and applies their scalar
+times identity diffusions elementwise, without forming the
+``(n, dim_x, dim_w)`` matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,7 +47,7 @@ from .diagnostics import AssumptionConstants
 from .errors import InvalidArgument
 
 __all__ = [
-    "ClosedFormStep",
+    "ClosedForm",
     "ProblemSpec",
     "example1_problem",
     "example2_problem",
@@ -46,18 +57,63 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClosedFormStep:
-    """A reference step written out for one problem.
+class ClosedForm:
+    """A problem's coefficients written out to share work between them.
 
-    ``step(t, x, dw, h)`` must return, bit for bit, what
-    :meth:`ProblemSpec.reference_step` composes from ``coefficients``, the
-    ``(b, sigma, analytic_u, analytic_v)`` it restates: the same formulas,
-    the same operand order in every product, and the association
-    ``x + drift * h + sigma dw``.
+    ``step(t, x, dw, h)`` and ``at(t, x)`` must return, bit for bit, what
+    :meth:`ProblemSpec.reference_step` and :meth:`ProblemSpec.at` compose
+    from ``coefficients``, the ``(b, sigma, f, analytic_u, analytic_v)``
+    they restate: the same formulas, the same operand order in every
+    product, the same association in every sum, and the association
+    ``x + drift * h + sigma dw`` of the step.
     """
 
     step: Callable
+    at: Callable
     coefficients: tuple
+
+
+@dataclass(frozen=True)
+class _StepCoefficients:
+    """One step's coefficients bound to its time and states."""
+
+    b: Callable
+    f: Callable
+    diffusion: Callable
+
+
+class _MatrixDiffusion:
+    """The action of diffusion matrices of shape ``(n, dim_x, dim_w)``."""
+
+    def __init__(self, matrices):
+        self.matrices = matrices
+
+    def apply(self, w):
+        return np.einsum("nic,nc->ni", self.matrices, w)
+
+    def gradient(self, g):
+        return np.einsum("ni,nic->nc", g, self.matrices)
+
+    def finite(self):
+        return bool(np.all(np.isfinite(self.matrices)))
+
+
+class _ScaledIdentity:
+    """The action of the diffusion ``scale * I``; ``scale`` is ``(n, 1)``."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def apply(self, w):
+        return self.scale * w
+
+    def gradient(self, g):
+        # the matrix contraction sums onto +0.0, so a zero component of
+        # the gradient process is +0.0 whatever the sign of the scale
+        return g * self.scale + 0.0
+
+    def finite(self):
+        return bool(np.all(np.isfinite(self.scale)))
 
 
 @dataclass(frozen=True)
@@ -74,15 +130,23 @@ class ProblemSpec:
     grad_g: Callable
     analytic_u: Optional[Callable] = None
     analytic_v: Optional[Callable] = None
-    # Used only while b, sigma and analytic_u/v are the callables it
+    # Used only while b, sigma, f and analytic_u/v are the callables it
     # restates: ``dataclasses.replace`` of any of them (a variant problem,
     # a counting or timing wrapper) would leave it stale, so the spec then
-    # composes the step from its callables instead.
-    closed_form_step: Optional[ClosedFormStep] = None
+    # composes from its callables instead.
+    closed_form: Optional[ClosedForm] = None
 
     @property
     def has_analytic_solution(self) -> bool:
         return self.analytic_u is not None and self.analytic_v is not None
+
+    def _current_closed_form(self):
+        closed = self.closed_form
+        if closed is not None and closed.coefficients == (
+            self.b, self.sigma, self.f, self.analytic_u, self.analytic_v
+        ):
+            return closed
+        return None
 
     def reference_step(self, t, x, dw, h):
         """Euler step of the decoupled reference from ``x`` at time ``t``.
@@ -90,16 +154,31 @@ class ProblemSpec:
         Drift and diffusion are taken at the analytic fields ``u(t, x)``
         and ``v(t, x)``; returns ``x + b h + sigma dw``.
         """
-        closed = self.closed_form_step
-        if closed is not None and closed.coefficients == (
-            self.b, self.sigma, self.analytic_u, self.analytic_v
-        ):
+        closed = self._current_closed_form()
+        if closed is not None:
             return closed.step(t, x, dw, h)
         u_vals = self.analytic_u(t, x)
         v_vals = self.analytic_v(t, x)
         drift = self.b(t, x, u_vals, v_vals)
         smat = self.sigma(t, x, u_vals)
         return x + drift * h + np.einsum("nic,nc->ni", smat, dw)
+
+    def at(self, t, x):
+        """The coefficients at time ``t`` bound to the states ``x``.
+
+        Returns ``b(y, z)``, ``f(y, z)`` and ``diffusion(y)``, the action
+        of ``sigma(t, x, y)`` (see the module docstring).
+        """
+        closed = self._current_closed_form()
+        if closed is not None:
+            return closed.at(t, x)
+        return _StepCoefficients(
+            b=lambda y, z: self.b(t, x, y, z),
+            f=lambda y, z: self.f(t, x, y, z),
+            diffusion=lambda y: _MatrixDiffusion(
+                np.asarray(self.sigma(t, x, y), dtype=np.float64)
+            ),
+        )
 
 
 def example1_problem(
@@ -152,6 +231,26 @@ def example1_problem(
         s = np.sin(x).sum(axis=1)
         return np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x)
 
+    def at(t, x):
+        @functools.cache
+        def state_terms():
+            s = np.sin(x).sum(axis=1)
+            decay3 = np.exp(-3.0 * rate * (T - t))
+            return (
+                0.5 * decay3 * sigma_bar**2 * s**3,
+                kappa_z * sigma_bar * decay3 * s * np.square(np.cos(x)).sum(axis=1),
+            )
+
+        def f_at(y, z):
+            cubic, cross = state_terms()
+            return -rate * y + cubic - kappa_y * z.sum(axis=1) - cross
+
+        return _StepCoefficients(
+            b=lambda y, z: b(t, x, y, z),
+            f=f_at,
+            diffusion=lambda y: _ScaledIdentity((sigma_bar * y)[:, None]),
+        )
+
     def step(t, x, dw, h):
         s = np.sin(x).sum(axis=1)
         y = np.exp(-rate * (T - t)) * s
@@ -172,7 +271,7 @@ def example1_problem(
         grad_g=grad_g,
         analytic_u=analytic_u,
         analytic_v=analytic_v,
-        closed_form_step=ClosedFormStep(step, (b, sigma, analytic_u, analytic_v)),
+        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
     )
 
 
@@ -206,6 +305,20 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
     def analytic_v(t, x):
         return np.square(np.cos(t + x))
 
+    def at(t, x):
+        w = t + x
+        cos_w = np.cos(w)
+
+        def b_at(y, z):
+            sin_w = np.sin(w)
+            return -0.5 * sin_w * cos_w * (np.square(sin_w) + z)
+
+        return _StepCoefficients(
+            b=b_at,
+            f=lambda y, z: y * z[:, 0] - cos_w[:, 0],
+            diffusion=lambda y: _ScaledIdentity(cos_w),
+        )
+
     def step(t, x, dw, h):
         w = t + x
         sin_w, cos_w = np.sin(w), np.cos(w)
@@ -225,7 +338,7 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
         grad_g=grad_g,
         analytic_u=analytic_u,
         analytic_v=analytic_v,
-        closed_form_step=ClosedFormStep(step, (b, sigma, analytic_u, analytic_v)),
+        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
     )
 
 

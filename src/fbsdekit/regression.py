@@ -9,22 +9,26 @@ the single joint optimization
 with ``v = grad_u^T sigma`` tied to the same coefficients, by fixed-point
 linearization: the driver arguments and the diffusion are frozen at the
 current iterate, the model is then linear in ``theta`` and solved exactly,
-and the frozen quantities are refreshed.  The clamped features ``phi`` and
-their masked Jacobian ``jac`` are built once per step, and each iterate is
-evaluated once from them: ``y = phi theta``, ``sigma(t, X, y)``,
-``z = (jac theta) sigma`` and ``f(t, X, y, z)`` give its joint loss and
-the frozen quantities of the next linearization.  ``fit_step_direct`` is
-the two-regression baseline: the gradient process is regressed from
-``h^-1 Y_next dW`` with its own coefficients, then the value process once
-from ``Y_next + h f(t, X, Y_next, Z)``.  Both fits also return the values
-of the fitted value field on the step's states, which the backward pass
-takes as the previous step's target.
+and the frozen quantities are refreshed.  The clamped states, the mask of
+the coordinates inside the box, the clamped features ``phi`` and the
+step's coefficients ``problem.at(t, X)`` are built once per step, and each
+iterate is evaluated once from them: ``y = phi theta``, the diffusion at
+``y``, ``z`` as the gradient of the field contracted with it, and
+``f(y, z)`` give its joint loss and the frozen quantities of the next
+linearization.  ``fit_step_direct`` is the two-regression baseline: the
+gradient process is regressed from ``h^-1 Y_next dW`` with its own
+coefficients, then the value process once from
+``Y_next + h f(t, X, Y_next, Z)``.  Both fits also return the values of
+the fitted value field on the step's states, which the backward pass takes
+as the previous step's target.
 
-The design rows ``phi + jac (sigma dW)`` are per-path ``numpy.einsum``
-contractions, ``sigma dW`` first, and Gram matrices are accumulated with
-``numpy.einsum`` over fixed-size ordered path chunks.  Neither uses a BLAS
-reduction, so results are bit-identical no matter how many threads the
-BLAS carries.
+The design rows are ``phi`` plus the derivative of the features along
+``sigma dW``, formed without the feature Jacobian
+(:func:`fbsdekit.fields.feature_derivative`); each entry is a product or
+a sum of two products, elementwise per path.  Gram matrices are
+accumulated with ``numpy.einsum`` over fixed-size ordered path chunks.
+Neither uses a BLAS reduction, so results are bit-identical no matter how
+many threads the BLAS carries.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
     QuadraticField,
     clamp,
+    clamped_gradient,
     eval_u,  # noqa: F401 -- unused here; perfbench/test_tracer.py wraps it here
+    feature_derivative,
     features,
-    masked_grad_features,
+    inside_box,
     num_features,
 )
 
@@ -124,17 +130,17 @@ def solve_linear_lsq(design, targets, ridge: float = 0.0) -> np.ndarray:
     return coeffs
 
 
-def _evaluate_iterate(problem, t, x, phi, jac, coeffs):
-    """Value, diffusion and gradient process of one iterate on the step's paths.
+def _evaluate_iterate(coefficients, phi, xc, inside, coeffs):
+    """Value, diffusion, gradient process and driver of one iterate.
 
-    ``phi`` and ``jac`` are the clamped features and the masked feature
-    Jacobian, so ``y`` and ``z`` equal ``eval_u`` and ``eval_v_diff`` of the
-    field with these coefficients.
+    ``phi`` holds the features at the clamped states ``xc``, and
+    ``inside`` masks their unclamped coordinates, so ``y`` and ``z`` equal
+    ``eval_u`` and ``eval_v_diff`` of the field with these coefficients.
     """
     y = phi @ coeffs
-    sigma = np.asarray(problem.sigma(t, x, y), dtype=np.float64)
-    z = np.einsum("ni,nic->nc", np.einsum("npk,p->nk", jac, coeffs), sigma)
-    return y, sigma, z
+    diffusion = coefficients.diffusion(y)
+    z = diffusion.gradient(clamped_gradient(coeffs, xc, inside))
+    return y, diffusion, z, coefficients.f(y, z)
 
 
 def fit_step_differentiation(
@@ -163,28 +169,31 @@ def fit_step_differentiation(
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
-    jac = masked_grad_features(x, warm_start)
-    phi = features(clamp(x, warm_start), warm_start.dim)
+    xc = clamp(x, warm_start)
+    inside = inside_box(x, warm_start)
+    phi = features(xc, warm_start.dim)
+    coefficients = problem.at(t, x)
 
     coeffs = warm_start.coeffs
-    y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
-    f_bar = problem.f(t, x, y_bar, z_bar)
+    y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
+        coefficients, phi, xc, inside, coeffs
+    )
     last_loss = None
     losses = loss_history if loss_history is not None else []
     loss_floor = 1e-12 * (1.0 + float(np.mean(np.square(y_next))))
     for _ in range(cfg.inner_iters):
-        if not np.all(np.isfinite(sigma_bar)):
+        if not diffusion.finite():
             raise NumericalFailure(
                 f"diffusion evaluated non-finite at t={t}", step=step
             )
-        sigma_dw = np.einsum("nkc,nc->nk", sigma_bar, dw)
-        design = phi + np.einsum("npk,nk->np", jac, sigma_dw)
+        design = phi + feature_derivative(xc, inside, diffusion.apply(dw))
         targets = y_next + h * f_bar
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
-        y_bar, sigma_bar, z_bar = _evaluate_iterate(problem, t, x, phi, jac, coeffs)
         # the joint loss of the new iterate; its driver value is also the
         # next linearization's drift
-        f_bar = problem.f(t, x, y_bar, z_bar)
+        y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
+            coefficients, phi, xc, inside, coeffs
+        )
         pred = y_bar - h * f_bar + np.einsum("nc,nc->n", z_bar, dw)
         loss = float(np.mean(np.square(y_next - pred)))
         losses.append(loss)
@@ -232,7 +241,7 @@ def fit_step_direct(
     beta = np.empty((num_features(dim), dim_w))
     for comp in range(dim_w):
         beta[:, comp] = solve_linear_lsq(phi, y_next * dw[:, comp] / h, cfg.ridge)
-    targets = y_next + h * problem.f(t, x, y_next, phi @ beta)
+    targets = y_next + h * problem.at(t, x).f(y_next, phi @ beta)
     alpha = solve_linear_lsq(phi, targets, cfg.ridge)
     return (replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta),
             phi @ alpha)

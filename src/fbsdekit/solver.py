@@ -14,6 +14,13 @@ sweep, from the 0.05%..99.95% quantile range of the simulated states: it
 is centered on the range's midpoint with half-width the larger of 0.55
 times the range and 3.  It is frozen for all later iterations so
 successive fits share one function class.
+
+Every sweep step and every fit takes the problem's coefficients bound to
+its states, ``problem.at(t, x)``: a problem with a closed form then
+computes its state-only terms once per step and applies its diffusion
+without forming the ``(paths, dim, dim_w)`` matrices.  The gradient
+process of a value field is the field's gradient, formed without the
+feature Jacobian, contracted with that diffusion.
 """
 
 from __future__ import annotations
@@ -126,21 +133,17 @@ def forward_simulate(
     x[:, 0] = problem.x0
     h = grid.h
     for i in range(grid.n):
-        t = grid.nodes[i]
         state = x[:, i]
+        coefficients = problem.at(grid.nodes[i], state)
         y[:, i] = eval_u(fields_prev[i], state)
-        smat = problem.sigma(t, state, y[:, i])
+        diffusion = coefficients.diffusion(y[:, i])
         if zfields_prev is None:
             # eval_v_diff, with the value and diffusion already at hand
-            z[:, i] = np.einsum(
-                "ni,nic->nc", grad_u(fields_prev[i], state), smat
-            )
+            z[:, i] = diffusion.gradient(grad_u(fields_prev[i], state))
         else:
             z[:, i] = eval_u(zfields_prev[i], state)
-        drift = problem.b(t, state, y[:, i], z[:, i])
-        x[:, i + 1] = (
-            state + drift * h + np.einsum("nic,nc->ni", smat, increments[:, i])
-        )
+        drift = coefficients.b(y[:, i], z[:, i])
+        x[:, i + 1] = state + drift * h + diffusion.apply(increments[:, i])
         if not np.all(np.isfinite(x[:, i + 1])):
             bad = int(np.argwhere(~np.isfinite(x[:, i + 1]))[0][0])
             raise NumericalFailure(
@@ -149,10 +152,12 @@ def forward_simulate(
                 step=i,
                 path=bad,
             )
-    y[:, grid.n] = problem.g(x[:, grid.n])
-    terminal_sigma = problem.sigma(grid.horizon, x[:, grid.n], y[:, grid.n])
-    z[:, grid.n] = np.einsum(
-        "ni,nic->nc", problem.grad_g(x[:, grid.n]), terminal_sigma
+    terminal = x[:, grid.n]
+    y[:, grid.n] = problem.g(terminal)
+    z[:, grid.n] = (
+        problem.at(grid.horizon, terminal)
+        .diffusion(y[:, grid.n])
+        .gradient(problem.grad_g(terminal))
     )
     return PathBatch(x=x, y=y, z=z)
 

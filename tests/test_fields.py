@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_derivative_rows, dense_grad_u
 
 from fbsdekit.errors import InvalidArgument
 from fbsdekit.fields import (
     QuadraticField,
+    clamp,
     eval_u,
     eval_v_diff,
+    feature_derivative,
     features,
     field_from_record,
     field_to_record,
     grad_u,
+    inside_box,
     num_features,
     zero_field,
 )
@@ -104,6 +108,58 @@ class TestGradU:
         exact = grad_u(field, x)
         scale = np.maximum(np.abs(exact), 1.0)
         assert np.all(np.abs(exact - approx) <= 1e-6 * scale)
+
+
+def box_batch(dim, num_paths, seed):
+    """A field with coefficients of mixed sign and states around its box.
+
+    The states lie inside the box, beyond it on either side, and exactly on
+    its faces, where the strict inequalities of the mask clamp them.
+    """
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, -0.5, size=dim)
+    hi = rng.uniform(0.5, 2.0, size=dim)
+    coeffs = 3.0 * rng.normal(size=num_features(dim))
+    coeffs[: 2 * dim] = np.abs(coeffs[: 2 * dim])
+    coeffs[2 * dim :] = -np.abs(coeffs[2 * dim :])
+    x = rng.uniform(lo - 1.0, hi + 1.0, size=(num_paths, dim))
+    x = np.where(rng.random((num_paths, dim)) < 0.1, lo, x)
+    x = np.where(rng.random((num_paths, dim)) < 0.1, hi, x)
+    w = rng.normal(size=(num_paths, dim))
+    return QuadraticField(dim, coeffs, lo, hi), x, w
+
+
+class TestJacobianFreeKernels:
+    """The gradient and the feature derivative equal, bit for bit, the
+    contractions of the dense masked Jacobian in ``oracles``.
+
+    This pins the summation order: ``numpy.einsum`` adds the terms one by
+    one in feature order, and the kernels add the same non-zero terms in
+    the same order.  A numpy that sums einsum in another order fails here
+    rather than moving every result.  Along clamped directions both give
+    zero.  The gradient's zeros are +0.0 like the contraction's, so its
+    bytes are compared; the feature derivative's zeros may differ from the
+    contraction's in their sign only, which ``np.array_equal`` does not see.
+    """
+
+    @pytest.mark.parametrize("num_paths", [1, 128, 8192])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    def test_gradient_matches_dense_jacobian(self, dim, num_paths):
+        field, x, _ = box_batch(dim, num_paths, seed=dim * num_paths)
+        if num_paths > 1:
+            assert np.any(x == field.trunc_lo) and np.any(x == field.trunc_hi)
+            assert np.any(x < field.trunc_lo) and np.any(x > field.trunc_hi)
+        assert grad_u(field, x).tobytes() == dense_grad_u(field, x).tobytes()
+
+    @pytest.mark.parametrize("num_paths", [1, 128, 8192])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    def test_feature_derivative_matches_dense_jacobian(self, dim, num_paths):
+        field, x, w = box_batch(dim, num_paths, seed=dim * num_paths + 1)
+        xc = clamp(x, field)
+        rows = feature_derivative(xc, inside_box(x, field), w)
+        assert np.array_equal(rows, dense_derivative_rows(field, x, w))
+        phi = features(xc, dim)
+        assert np.array_equal(phi + rows, phi + dense_derivative_rows(field, x, w))
 
 
 class TestEvalVDiff:

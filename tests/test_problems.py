@@ -209,8 +209,8 @@ class TestClosedFormSteps:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
     def test_bit_identical_to_composition(self, name, num_paths):
         problem = CLOSED_FORM_PROBLEMS[name]()
-        composed = dataclasses.replace(problem, closed_form_step=None)
-        assert problem.closed_form_step is not None
+        composed = dataclasses.replace(problem, closed_form=None)
+        assert problem.closed_form is not None
         rng = np.random.default_rng(num_paths)
         T = problem.horizon
         for t in (0.0, 1e-5, 0.123 * T, 0.5 * T, T):
@@ -241,10 +241,91 @@ class TestClosedFormSteps:
         x = problem.x0 + rng.normal(size=(64, 4))
         dw = rng.normal(scale=0.01, size=(64, 4))
         stepped = variant.reference_step(0.1, x, dw, 1e-3)
-        composed = dataclasses.replace(variant, closed_form_step=None)
+        composed = dataclasses.replace(variant, closed_form=None)
         assert seen == [0.1]
         assert np.array_equal(stepped, composed.reference_step(0.1, x, dw, 1e-3))
         assert not np.array_equal(stepped, problem.reference_step(0.1, x, dw, 1e-3))
+
+
+class TestClosedFormCoefficients:
+    """Each closed-form ``at`` equals the composed coefficients bit for bit.
+
+    ``at(t, x)`` binds the coefficients to one step's states; the closed
+    forms restate ``b``, ``sigma`` and ``f`` and apply the diffusion
+    without forming its matrices.
+    """
+
+    @pytest.mark.parametrize("num_paths", [1, 128, 15000])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
+    def test_bit_identical_to_composition(self, name, num_paths):
+        problem = CLOSED_FORM_PROBLEMS[name]()
+        composed = dataclasses.replace(problem, closed_form=None)
+        assert problem.closed_form is not None
+        rng = np.random.default_rng(num_paths + 1)
+        T = problem.horizon
+        for t in (0.0, 1e-5, 0.123 * T, 0.5 * T, T):
+            # well beyond the truncation box as well as near x0
+            x = problem.x0[None, :] + rng.uniform(
+                -40.0, 40.0, size=(num_paths, problem.dim_x)
+            )
+            x[: num_paths // 2] = problem.x0 + rng.normal(
+                scale=0.5, size=(num_paths // 2, problem.dim_x)
+            )
+            y = rng.normal(scale=2.0, size=num_paths)
+            z = rng.normal(size=(num_paths, problem.dim_w))
+            w = rng.normal(size=(num_paths, problem.dim_w))
+            # gradients of a field, zero along some clamped directions
+            g = rng.normal(size=(num_paths, problem.dim_x))
+            g[rng.random(g.shape) < 0.2] = 0.0
+            closed, plain = problem.at(t, x), composed.at(t, x)
+            f_closed = closed.f(y, z)
+            assert np.array_equal(f_closed, plain.f(y, z))
+            # the state terms are kept from the first call
+            assert np.array_equal(closed.f(y, 2.0 * z), plain.f(y, 2.0 * z))
+            assert np.array_equal(closed.f(y, z), f_closed)
+            assert np.array_equal(closed.b(y, z), plain.b(y, z))
+            diffusion, matrices = closed.diffusion(y), plain.diffusion(y)
+            assert np.array_equal(diffusion.apply(w), matrices.apply(w))
+            # the gradient process is stored as is: zeros keep their sign too
+            assert (diffusion.gradient(g).tobytes()
+                    == matrices.gradient(g).tobytes())
+            assert diffusion.finite() and matrices.finite()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
+    def test_non_finite_diffusion_detected(self, name, bad):
+        # example1's diffusion goes bad with y, example2's with x
+        problem = CLOSED_FORM_PROBLEMS[name]()
+        composed = dataclasses.replace(problem, closed_form=None)
+        x = np.tile(problem.x0, (3, 1))
+        x[1, 0] = bad
+        y = np.array([0.5, bad, 0.25])
+        with np.errstate(invalid="ignore"):
+            assert not problem.at(0.1, x).diffusion(y).finite()
+            assert not composed.at(0.1, x).diffusion(y).finite()
+
+    def test_replaced_driver_bypasses_the_closed_form(self):
+        problem = example1_problem()
+        seen = []
+
+        def f(t, x, y, z):
+            seen.append(t)
+            return 2.0 * problem.f(t, x, y, z)
+
+        variant = dataclasses.replace(problem, f=f)
+        rng = np.random.default_rng(12)
+        x = problem.x0 + rng.normal(size=(64, 4))
+        y = rng.normal(size=64)
+        z = rng.normal(size=(64, 4))
+        got = variant.at(0.1, x).f(y, z)
+        assert seen == [0.1]
+        assert np.array_equal(got, 2.0 * problem.at(0.1, x).f(y, z))
+        dw = rng.normal(scale=0.01, size=(64, 4))
+        composed = dataclasses.replace(variant, closed_form=None)
+        assert np.array_equal(
+            variant.reference_step(0.1, x, dw, 1e-3),
+            composed.reference_step(0.1, x, dw, 1e-3),
+        )
 
 
 class TestDecoupledProblems:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import grad_features
 
 from fbsdekit.brownian import coarsen_increments, sample_fine_increments
 from fbsdekit.errors import (
@@ -16,7 +17,6 @@ from fbsdekit.fields import (
     eval_u,
     eval_v_diff,
     features,
-    grad_features,
     zero_field,
 )
 from fbsdekit.problems import decoupled_test_problem, example1_problem
@@ -131,8 +131,6 @@ class TestFitStepDifferentiation:
     def test_matches_pseudo_inverse_oracle(self):
         # with f = 0 the joint fit collapses to one linear regression on
         # rows phi(x) + grad_phi(x) sigma dW, solvable by the SVD oracle
-        from fbsdekit.fields import features, grad_features
-
         rng = np.random.default_rng(7)
         x, dw, y_next, _ = linear_target_batch(rng)
         field, _ = fit_step_differentiation(
@@ -177,6 +175,33 @@ class TestFitStepDifferentiation:
             fit_step_differentiation(
                 self.problem, 0.0, x, bad, dw, self.warm, self.cfg, h=0.1
             )
+
+    def test_non_finite_diffusion_raises_with_step(self):
+        # the composed path: sigma matrices from the problem's own callable
+        rng = np.random.default_rng(8)
+        x, dw, y_next, _ = linear_target_batch(rng)
+        problem = dataclasses.replace(
+            self.problem, sigma=lambda t, xs, y: np.full((xs.shape[0], 1, 1), np.nan)
+        )
+        with pytest.raises(NumericalFailure, match="diffusion") as err:
+            fit_step_differentiation(
+                problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05, step=3
+            )
+        assert err.value.step == 3
+
+    def test_non_finite_diffusion_raises_on_the_closed_form(self):
+        # example1's closed form: sigma = sigma_bar y I at a warm field
+        # whose values are non-finite
+        problem, t, h, x, y_next, dw, warm = example1_batch(n=200)
+        assert problem.closed_form is not None
+        bad = dataclasses.replace(warm, coeffs=np.full_like(warm.coeffs, np.inf))
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            NumericalFailure, match="diffusion"
+        ) as err:
+            fit_step_differentiation(
+                problem, t, x, y_next, dw, bad, self.cfg, h=h, step=5
+            )
+        assert err.value.step == 5
 
 
 def example1_batch(n=3000, seed=11):

@@ -16,10 +16,12 @@ from fbsdekit.fields import QuadraticField, eval_u, eval_v_diff, zero_field
 from fbsdekit.problems import (
     ProblemSpec,
     decoupled_test_problem,
+    example1_problem,
     example2_problem,
 )
 from fbsdekit.reference import simulate_reference
 from fbsdekit.solver import (
+    METHODS,
     SolverConfig,
     backward_pass,
     forward_simulate,
@@ -387,3 +389,28 @@ class TestRunMarkovianIteration:
                 run_markovian_iteration(problem, cfg)
             assert len(err.value.partial_fields) == 1
             assert err.value.iteration == 2
+
+
+class TestClosedFormRuns:
+    """A run on a problem's closed form equals the run that composes its
+    coefficients, bit for bit: every field and the final paths."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("factory", [example1_problem, example2_problem])
+    def test_closed_form_run_equals_composed_run(self, factory, method):
+        problem = factory()
+        assert problem.closed_form is not None
+        cfg = SolverConfig(n_steps=4, num_iterations=2, num_paths=300, fine_n=64,
+                           method=method, seed=5)
+        closed = run_markovian_iteration(problem, cfg)
+        composed = run_markovian_iteration(
+            dataclasses.replace(problem, closed_form=None), cfg
+        )
+        for kind in ("fields", "zfields"):
+            for ours, theirs in zip(getattr(closed, kind) or [],
+                                    getattr(composed, kind) or [], strict=True):
+                for a, b in zip(ours, theirs, strict=True):
+                    assert np.array_equal(a.coeffs, b.coeffs)
+        for name in ("x", "y", "z"):
+            assert np.array_equal(getattr(closed.final_paths, name),
+                                  getattr(composed.final_paths, name))
