@@ -3,12 +3,13 @@
 Given the Lipschitz, monotonicity, and growth constants of the FBSDE
 coefficients, this module evaluates every constant appearing in the
 contraction analysis of the iteration: the auxiliary exponential-sum
-functions ``Gamma0``/``Gamma1`` (with their discrete-grid versions), the
-step-size dependent constants ``A1..A5``, ``B1``, ``B2``, ``D1..D3``, the
-horizon constants ``L0``/``L1``, the growth-recursion functions
-``c0``/``c1``/``L2``, and the iteration-contraction factor ``c2`` (an
-infimum over a free parameter ``lambda1``).  ``check_conditions`` bundles
-the three sufficient conditions
+functions ``Gamma0``/``Gamma1`` (with their discrete-grid versions; the
+sup in ``Gamma1`` is taken in closed form), the step-size dependent
+constants ``A1..A5``, ``B1``, ``B2``, ``D1..D3``, the horizon constants
+``L0``/``L1``, the growth-recursion functions ``c0``/``c1``/``L2``, and
+the iteration-contraction factor ``c2`` (an infimum over a free
+parameter ``lambda1``).  ``check_conditions`` bundles the three
+sufficient conditions
 
 * ``L0 < 1/e``       (uniform Lipschitz bound across iterations),
 * ``c1(L1) < 1``     (uniform linear-growth bound),
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 _SERIES_CUTOFF = 1e-8
-_THETA_EDGE = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -82,14 +82,14 @@ class AssumptionConstants:
     T: float
 
     def __post_init__(self):
-        for name in (
-            "K", "b_y", "b_z", "sigma_x", "sigma_y", "f_x", "f_z",
-            "g_x", "b_0", "sigma_0", "f_0", "g_0", "Sigma",
-        ):
-            if getattr(self, name) < 0.0:
-                raise InvalidArgument(f"{name} must be nonnegative")
-        if self.T <= 0.0:
-            raise InvalidArgument("T must be positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if math.isnan(value):
+                raise InvalidArgument(f"{field.name} must not be NaN")
+            if field.name not in ("k_b", "k_f", "T") and value < 0.0:
+                raise InvalidArgument(f"{field.name} must be nonnegative")
+        if not 0.0 < self.T < math.inf:
+            raise InvalidArgument("T must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -184,24 +184,26 @@ def _golden_section_max(fn, lo, hi, iters=80):
 
 
 def gamma1(x, y):
-    """``sup over 0 < theta < 1`` of ``theta e^(theta x) Gamma0(theta y)``.
+    """``sup over 0 < theta < 1`` of ``G(theta) = theta e^(theta x) Gamma0(theta y)``.
 
-    Evaluated on a dense grid of the clipped interval
-    ``[1e-6, 1 - 1e-6]`` followed by a golden-section refinement around
-    the grid maximizer.
+    ``G(theta) = (e^(theta (x + y)) - e^(theta x)) / y``, whose derivative
+    vanishes at most once: at ``theta* = -log1p(y/x) / y``, or ``-1/x`` when
+    ``y = 0``.  As ``G(0) = 0 < G`` on ``(0, 1]``, a ``theta*`` inside
+    ``(0, 1)`` is the maximum; the sup is ``max(G(1), G(theta*))``.
+    Overflow or NaN gives ``inf``.
     """
     def value(theta):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return theta * np.exp(theta * x) * gamma0(theta * y)
 
-    thetas = np.linspace(_THETA_EDGE, 1.0 - _THETA_EDGE, 1024)
-    vals = value(thetas)
-    if not np.all(np.isfinite(vals)):
-        return float("inf")
-    k = int(np.argmax(vals))
-    lo = thetas[max(0, k - 1)]
-    hi = thetas[min(len(thetas) - 1, k + 1)]
-    return float(max(vals[k], _golden_section_max(value, lo, hi)[0]))
+    best = value(1.0)
+    ratio = y / x if x != 0.0 else math.nan
+    if -1.0 < ratio < math.inf:
+        # log1p(r)/r -> 1 keeps theta* right where y/x underflows to 0
+        theta = -1.0 / x if ratio == 0.0 else -math.log1p(ratio) / ratio / x
+        if 0.0 < theta < 1.0:
+            best = max(best, value(theta))
+    return float(best) if math.isfinite(best) else math.inf
 
 
 def gamma1_disc(n, x, y, h):
@@ -292,15 +294,22 @@ def compute_L0_L1(c: AssumptionConstants):
     exponent = coupling * gterm * c.T + (
         2.0 * c.k_b + 2.0 * c.k_f + 3.0 + c.sigma_x + c.f_z
     ) * c.T
+    # constants may be numpy scalars, whose products warn on overflow
     with np.errstate(over="ignore"):
         l0 = coupling * gterm * c.T * math.exp(min(exponent, 709.0))
         if exponent > 709.0:
             l0 = math.inf if coupling * gterm > 0.0 else 0.0
         l1 = gterm * max(
-            math.exp(min(exponent + 1.0, 709.0)) if exponent + 1.0 <= 709.0 else math.inf,
-            1.0,
+            math.exp(exponent + 1.0) if exponent + 1.0 <= 709.0 else math.inf, 1.0
         )
     return l0, l1
+
+
+def _c0_bracket(c: AssumptionConstants, a4: float, a5: float, s: float) -> float:
+    """``T (g_x Gamma1(A4 T, s) + A5 T Gamma0(A4 T) Gamma0(s))``, the ``c0``
+    shape shared by ``compute_c_functions`` and ``compute_c2_at``."""
+    T = c.T
+    return T * (c.g_x * gamma1(a4 * T, s) + a5 * T * gamma0(a4 * T) * gamma0(s))
 
 
 def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
@@ -309,11 +318,7 @@ def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
     a1, a2, a4, a5, b1, b2 = _bar_constants(c)
     d1, d2, d3 = compute_D_constants(c, 0.0, lbar)
     T = c.T
-    arg = (a1 + d1) * T + _prod(a2 + d2, growth) * T
-    c0 = T * (
-        c.g_x * gamma1(a4 * T, arg)
-        + a5 * T * gamma0(a4 * T) * gamma0(arg)
-    )
+    c0 = _c0_bracket(c, a4, a5, (a1 + d1) * T + _prod(a2 + d2, growth) * T)
     c1 = _prod(a2 + d2, c0)
     l2 = (
         math.exp(max(a4, 0.0) * T) * c.g_0
@@ -361,10 +366,7 @@ def compute_c2_at(
         arg = a1 + 1.0 + (1.0 + lambda1) * _prod(
             a2 + c.b_z * z_field_lipschitz_factor(c), lip
         )
-        bracket = T * (
-            c.g_x * gamma1(a4 * T, arg * T)
-            + a5 * T * gamma0(a4 * T) * gamma0(arg * T)
-        )
+        bracket = _c0_bracket(c, a4, a5, arg * T)
         return float(_prod(np.float64(prefactor) * coefficient, bracket))
 
 
@@ -427,10 +429,7 @@ def check_conditions(c: AssumptionConstants) -> DiagnosticsReport:
     )
 
 
-_CONSTANT_FIELDS = [
-    "k_b", "k_f", "K", "b_y", "b_z", "sigma_x", "sigma_y", "f_x", "f_z",
-    "g_x", "b_0", "sigma_0", "f_0", "g_0", "Sigma", "T",
-]
+_CONSTANT_FIELDS = [field.name for field in fields(AssumptionConstants)]
 
 
 def parse_constants(text: str) -> AssumptionConstants:

@@ -253,6 +253,24 @@ class TestSweep:
         assert [line.split(",")[3] for line in lines[1:]] == ["1", "2", "3"]
         assert not any(line.startswith("#") for line in lines)
 
+    def test_non_chain_sweep_rows_match_single_runs(self, capsys):
+        # 4 does not divide 6, so each N simulates its own reference
+        base = ["--problem", "example2", "--M", "2", "--paths", "300",
+                "--fine-n", "48", "--seed", "3"]
+        code, sweep_out, _ = run_cli(
+            capsys, ["sweep", "--sweep", "N", "--values", "4,6"] + base
+        )
+        assert code == 0
+        sweep_rows = [
+            line for line in strip_wall(sweep_out).splitlines()
+            if line[0].isalpha() and line != cli.CSV_HEADER
+        ]
+        run_rows = [
+            strip_wall(run_cli(capsys, ["run", "--N", n] + base)[1]).splitlines()[1]
+            for n in ("4", "6")
+        ]
+        assert sweep_rows == run_rows
+
     def test_bad_values_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, ["sweep", "--sweep", "N", "--values", "2,soup"] + FAST
@@ -332,6 +350,17 @@ class TestDiagnose:
         code, _, err = run_cli(capsys, ["diagnose", "--constants", str(path)])
         assert code == 1
         assert "Sigma" in err
+
+    @pytest.mark.parametrize("key", ["b_z", "T"])
+    def test_nan_constant_exits_one_naming_it(self, capsys, tmp_path, key):
+        path = tmp_path / "constants.txt"
+        path.write_text(
+            CONSTANTS_TEXT.replace(f"\n{key} = ", f"\n{key} = nan  # was ")
+        )
+        code, out, err = run_cli(capsys, ["diagnose", "--constants", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key} must")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Tests for the convergence-constant evaluators."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestGamma0:
 
 class TestGamma1:
     def test_zero_arguments(self):
-        assert math.isclose(gamma1(0.0, 0.0), 1.0, rel_tol=1e-5)
+        assert gamma1(0.0, 0.0) == 1.0
 
     def test_disc_zero_arguments(self):
         assert math.isclose(gamma1_disc(7, 0.0, 0.0, 0.25), 7 * 0.25, rel_tol=1e-12)
@@ -79,14 +80,35 @@ class TestGamma1:
     def test_positive_arguments_boundary_supremum(self):
         # theta e^(theta x) Gamma0(theta y) is increasing in theta for
         # x, y >= 0, so the supremum sits at theta -> 1.
-        assert math.isclose(gamma1(1.0, 1.0), math.e * (math.e - 1.0), rel_tol=1e-5)
+        assert math.isclose(gamma1(1.0, 1.0), math.e * (math.e - 1.0), rel_tol=1e-12)
 
     def test_matches_brute_force_grid(self):
-        thetas = np.linspace(1e-6, 1.0 - 1e-6, 20001)
-        for x, y in [(-2.0, 1.0), (0.5, -3.0), (-1.0, -1.0)]:
+        # the grid includes theta = 1, where the sup of the open interval
+        # is attained whenever no stationary point lies inside it
+        thetas = np.linspace(0.0, 1.0, 200_001)
+        cases = [
+            # interior maxima: theta* = -log1p(y/x)/y, or -1/x at y = 0
+            (-2.0, 1.0), (-1.0, -1.0), (-20.0, 15.0), (-1.5, 0.0),
+            (-3.0, 1e-9), (-3.0, -1e-9), (-3.0, 5e-324),
+            # maxima at theta = 1: no stationary point, or one beyond 1
+            (0.5, -3.0), (-5.0, 5.0), (10.0, -30.0), (-0.5, 0.0),
+            (2.0, 1e-12), (0.0, -4.0), (20.0, 20.0),
+        ]
+        for x, y in cases:
             brute = np.max(thetas * np.exp(thetas * x) * gamma0(thetas * y))
-            assert gamma1(x, y) >= brute - 1e-10
-            assert math.isclose(gamma1(x, y), brute, rel_tol=1e-4)
+            assert gamma1(x, y) >= brute * (1.0 - 1e-12), (x, y)
+            assert math.isclose(gamma1(x, y), brute, rel_tol=1e-8), (x, y)
+
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            (math.inf, 1.0, math.inf), (1.0, math.inf, math.inf),
+            (800.0, 1.0, math.inf), (1.0, 800.0, math.inf),
+            (math.nan, 1.0, math.inf), (-math.inf, 1.0, 0.0),
+        ],
+    )
+    def test_non_finite_conventions(self, x, y, expected):
+        assert gamma1(x, y) == expected
 
 
 class TestLimitIdentities:
@@ -307,6 +329,26 @@ class TestCheckConditions:
         assert report.conditionC1 == (report.c1_at_L1 < 1.0)
         assert report.conditionC2 == (report.c2_at_L1L1 < 1.0)
         assert report.Lbar == pytest.approx(1.01 * report.L1)
+
+
+class TestConstantsValidation:
+    @pytest.mark.parametrize(
+        "name", [field.name for field in fields(AssumptionConstants)]
+    )
+    def test_nan_is_rejected_by_name(self, name):
+        with pytest.raises(InvalidArgument, match=f"^{name} must not be NaN"):
+            constants(**{name: math.nan})
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        with pytest.raises(InvalidArgument, match="^T must be finite and positive"):
+            constants(T=T)
+
+    def test_infinite_lipschitz_constant_is_accepted(self):
+        # an unbounded constant is a valid (if hopeless) input: the
+        # report carries the overflow instead of rejecting it
+        report = check_conditions(constants(b_y=math.inf))
+        assert not report.conditionL0
 
 
 class TestConstantsIO:
