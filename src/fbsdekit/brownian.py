@@ -9,7 +9,9 @@ of numpy's Philox-4x64-10 generator, keyed by the seed and counted by the
 step, then scaled and quantized.  Any step window can therefore be
 generated on its own, in any order, with bit-identical results.  Each
 step's draw is filled in C order, so the paths of a store are a prefix of
-the paths of any larger store with the same seed.  Readers that stream the
+the paths of any larger store with the same seed; it is drawn into one
+reused ``(num_paths, dim_w)`` buffer and copied into the window, which is
+stored paths-fastest (see :func:`paths_fastest`).  Readers that stream the
 whole grid take windows of at most ``_STREAM_VALUES`` values, so a window
 bounds the transient memory.  numpy does not promise ``Generator`` streams
 across releases; a known-answer test pins the values this store draws.
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import InvalidArgument
 
 __all__ = [
+    "paths_fastest",
     "TimeGrid",
     "BrownianStore",
     "PathBatch",
@@ -46,6 +49,25 @@ _QUANTUM = 2.0**-40
 
 # Values per streamed window of increments (bounds transient memory).
 _STREAM_VALUES = 1 << 22
+
+
+def paths_fastest(shape) -> np.ndarray:
+    """Uninitialized float64 array of ``shape`` with the path index (axis
+    0) as its contiguous axis.
+
+    Every per-path array the package allocates is stored this way, with
+    its public shape unchanged: the Brownian windows and coarse
+    increments, the reference and sweep paths, and the feature-derivative
+    design rows.  Elementwise algebra over a ``(paths, d)`` slice then runs
+    numpy's inner loop along the paths instead of along the short
+    component axis.  Contractions whose rounding depends on the layout of
+    their operands (the feature products ``phi @ coeffs``, the Gram sums,
+    the fit's row dots and the path means of the error metrics) are given
+    C-order operands.  Results then equal those of C-order storage bit for
+    bit up to seven components; numpy sums a C-order row of eight or more
+    pairwise.
+    """
+    return np.empty(shape, order="F")
 
 
 @dataclass(frozen=True)
@@ -102,11 +124,13 @@ class BrownianStore:
     def fine_increments(self, k0: int, k1: int) -> np.ndarray:
         """Increments for fine steps ``k0 <= k < k1``, all paths/components.
 
-        Returns an array of shape ``(num_paths, k1 - k0, dim_w)``.
+        Returns an array of shape ``(num_paths, k1 - k0, dim_w)``, stored
+        paths-fastest.
         """
         if not 0 <= k0 <= k1 <= self.fine_n:
             raise InvalidArgument(f"step window [{k0}, {k1}) out of range")
-        out = np.empty((k1 - k0, self.num_paths, self.dim_w))
+        out = paths_fastest((self.num_paths, k1 - k0, self.dim_w))
+        draw = np.empty((self.num_paths, self.dim_w))
         # One generator per call; resetting its state to step k's counter
         # (buffer empty) equals constructing Philox(key, counter=[0, k, 0, 0]).
         gen = np.random.Generator(np.random.Philox(key=self.seed))
@@ -114,17 +138,20 @@ class BrownianStore:
         for k in range(k0, k1):
             state["state"]["counter"][1] = k
             gen.bit_generator.state = state
-            gen.standard_normal(out=out[k - k0])
+            gen.standard_normal(out=draw)
+            out[:, k - k0] = draw
         scale = np.sqrt(self.fine_step_variance)
         np.multiply(out, scale / _QUANTUM, out=out)
         np.rint(out, out=out)
         out *= _QUANTUM
-        return out.transpose(1, 0, 2)
+        return out
 
     def _windows(self, lo: int, hi: int):
         """Yield ``(k0, fine_increments(k0, k1))`` over ``[lo, hi)``.
 
         Windows hold at most ``_STREAM_VALUES`` values (at least one step).
+        A caller drops each window before taking the next, or two windows
+        are alive while the next is drawn.
         """
         sub = max(1, _STREAM_VALUES // (self.num_paths * self.dim_w))
         for k0 in range(lo, hi, sub):
@@ -179,17 +206,19 @@ def coarsen_increments(store: BrownianStore, n: int) -> np.ndarray:
     cached = store._coarse_cache.get(n)
     if cached is not None:
         return cached
+    out = paths_fastest((store.num_paths, n, store.dim_w))
     for m in sorted(store._coarse_cache, reverse=True):
         if m % n == 0:
             arr = store._coarse_cache[m]
-            out = arr.reshape(store.num_paths, n, m // n, store.dim_w).sum(axis=2)
+            arr.reshape(store.num_paths, n, m // n, store.dim_w).sum(axis=2, out=out)
             store._note_coarse(n, out)
             return out
     window = store.fine_n // n
-    out = np.zeros((store.num_paths, n, store.dim_w))
+    out.fill(0.0)
     for i in range(n):
         for _, chunk in store._windows(i * window, (i + 1) * window):
             out[:, i, :] += chunk.sum(axis=1)
+            del chunk  # freed before the next window is drawn
     store._note_coarse(n, out)
     return out
 
@@ -200,7 +229,8 @@ class PathBatch:
 
     ``x`` has shape ``(num_paths, num_nodes, dim_x)``, ``y`` has shape
     ``(num_paths, num_nodes)`` and ``z`` has shape
-    ``(num_paths, num_nodes, dim_w)``.
+    ``(num_paths, num_nodes, dim_w)``.  The batches the package builds are
+    stored paths-fastest (see :func:`paths_fastest`).
     """
 
     x: np.ndarray
@@ -218,6 +248,11 @@ class PathBatch:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
+
+    def all_states(self) -> np.ndarray:
+        """Every state of ``x`` as a ``(num_paths * num_nodes, dim)`` array,
+        rows in no documented order; a view on a paths-fastest batch."""
+        return self.x.reshape(-1, self.dim, order="F")
 
     def strided(self, stride: int) -> PathBatch:
         """Every ``stride``-th node, starting at node 0, as views."""

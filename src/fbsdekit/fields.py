@@ -29,6 +29,12 @@ features' derivative along ``w`` as the row
 of the Jacobian contraction in feature order, so both equal the dense
 ``numpy.einsum`` contractions bit for bit; a zero of the feature
 derivative along a clamped direction may differ in its sign.
+
+The feature derivative is stored paths-fastest
+(:func:`fbsdekit.brownian.paths_fastest`), like the states the solver
+passes in, so each of its columns is a contiguous elementwise operation.
+:func:`features` stays in C order, because the rounding of
+``features(x) @ coeffs`` depends on the layout of ``features(x)``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brownian import paths_fastest
 from .errors import InvalidArgument
 
 __all__ = [
@@ -138,10 +145,11 @@ def clamped_gradient(coeffs, xc, inside) -> np.ndarray:
 
 def feature_derivative(xc, inside, w) -> np.ndarray:
     """Derivative ``(paths, P)`` of the features at the clamped states
-    ``xc`` along the directions ``w``, zero along clamped coordinates."""
+    ``xc`` along the directions ``w``, zero along clamped coordinates;
+    stored paths-fastest."""
     n, dim = xc.shape
     w = w * inside
-    out = np.empty((n, num_features(dim)))
+    out = paths_fastest((n, num_features(dim)))
     out[:, 0] = 0.0
     out[:, 1 : 1 + dim] = w
     out[:, 1 + dim : 1 + 2 * dim] = (2.0 * xc) * w

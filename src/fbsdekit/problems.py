@@ -38,6 +38,7 @@ times identity diffusions elementwise, without forming the
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -417,8 +418,8 @@ def example1_assumption_constants(
     y_max = d * max(sigma_bar, 1.0)
     # x-gradient of the driver: (3/2) s^2 |grad s| for the cubic term plus
     # the kappa_z correction, with |s| <= d and |grad s| <= sqrt(d).
-    f_x_lip = 1.5 * sigma_bar**2 * d**2 * np.sqrt(d) + kappa_z * sigma_bar * (
-        np.sqrt(d) * d + 2.0 * d
+    f_x_lip = 1.5 * sigma_bar**2 * d**2 * math.sqrt(d) + kappa_z * sigma_bar * (
+        math.sqrt(d) * d + 2.0 * d
     )
     return AssumptionConstants(
         k_b=0.0,

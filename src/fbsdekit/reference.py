@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BrownianStore, PathBatch, TimeGrid
+from .brownian import BrownianStore, PathBatch, TimeGrid, paths_fastest
 from .errors import InvalidArgument, NumericalFailure, UnsupportedProblem
 
 __all__ = ["ErrorReport", "simulate_reference", "compute_errors", "fit_rate"]
@@ -68,10 +68,12 @@ def simulate_reference(
     window = store.fine_n // grid.n
     h_fine = store.horizon / store.fine_n
 
-    x_nodes = np.empty((num_paths, grid.n + 1, dim))
-    state = np.broadcast_to(problem.x0, (num_paths, dim)).copy()
+    x_nodes = paths_fastest((num_paths, grid.n + 1, dim))
+    state = paths_fastest((num_paths, dim))
+    state[...] = problem.x0
     x_nodes[:, 0] = state
-    coarse = np.zeros((num_paths, grid.n, dim_w))
+    coarse = paths_fastest((num_paths, grid.n, dim_w))
+    coarse.fill(0.0)
     for i in range(grid.n):
         for k0, chunk in store._windows(i * window, (i + 1) * window):
             coarse[:, i, :] += chunk.sum(axis=1)
@@ -79,6 +81,7 @@ def simulate_reference(
                 state = problem.reference_step(
                     k * h_fine, state, chunk[:, k - k0, :], h_fine
                 )
+            del chunk  # freed before the next window is drawn
         if not np.all(np.isfinite(state)):
             bad = int(np.argwhere(~np.isfinite(state))[0][0])
             raise NumericalFailure(
@@ -89,8 +92,8 @@ def simulate_reference(
         x_nodes[:, i + 1] = state
     store._note_coarse(grid.n, coarse)
 
-    y_nodes = np.empty((num_paths, grid.n + 1))
-    z_nodes = np.empty((num_paths, grid.n + 1, dim_w))
+    y_nodes = paths_fastest((num_paths, grid.n + 1))
+    z_nodes = paths_fastest((num_paths, grid.n + 1, dim_w))
     for i, t in enumerate(grid.nodes):
         y_nodes[:, i] = problem.analytic_u(t, x_nodes[:, i])
         z_nodes[:, i] = problem.analytic_v(t, x_nodes[:, i])
@@ -110,9 +113,11 @@ def compute_errors(
         raise InvalidArgument(
             f"batch has {approx.num_nodes} nodes, grid expects {grid.n + 1}"
         )
-    sq_x = np.square(approx.x - reference.x).sum(axis=2)  # (paths, nodes)
-    sq_y = np.square(approx.y - reference.y)
-    sq_z = np.square(approx.z - reference.z).sum(axis=2)
+    # (paths, nodes), in C order: the means and the sum over paths below
+    # then add in the same order whatever the batches' layout
+    sq_x = np.ascontiguousarray(np.square(approx.x - reference.x).sum(axis=2))
+    sq_y = np.ascontiguousarray(np.square(approx.y - reference.y))
+    sq_z = np.ascontiguousarray(np.square(approx.z - reference.z).sum(axis=2))
     err_x = float(np.max(sq_x.mean(axis=0)))
     err_y = float(np.max(sq_y.mean(axis=0)))
     num_paths = approx.num_paths

@@ -18,17 +18,24 @@ iterate is evaluated once from them: ``y = phi theta``, the diffusion at
 linearization.  ``fit_step_direct`` is the two-regression baseline: the
 gradient process is regressed from ``h^-1 Y_next dW`` with its own
 coefficients, then the value process once from
-``Y_next + h f(t, X, Y_next, Z)``.  Both fits also return the values of
-the fitted value field on the step's states, which the backward pass takes
-as the previous step's target.
+``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1`` regressions share
+one design, so they share its Gram matrix and Cholesky factor, and each
+target is solved alone with that factor.  Both fits also return the values
+of the fitted value field on the step's states, which the backward pass
+takes as the previous step's target.
 
 The design rows are ``phi`` plus the derivative of the features along
 ``sigma dW``, formed without the feature Jacobian
 (:func:`fbsdekit.fields.feature_derivative`); each entry is a product or
-a sum of two products, elementwise per path.  Gram matrices are
-accumulated with ``numpy.einsum`` over fixed-size ordered path chunks.
-Neither uses a BLAS reduction, so results are bit-identical no matter how
-many threads the BLAS carries.
+a sum of two products, elementwise per path.  They are stored
+paths-fastest (:func:`fbsdekit.brownian.paths_fastest`), so the fit keeps
+a paths-fastest copy of ``phi`` to add to them (adding the C-order ``phi``
+into them strides through one operand); ``phi @ coeffs`` takes the
+C-order ``phi``.  Gram matrices are accumulated with ``numpy.einsum`` over
+fixed-size ordered path chunks, each taken in C order, and the joint loss's
+row dot takes C-order operands, so these sums add in the order they would
+with C-order storage.  Neither uses a BLAS reduction, so results are
+bit-identical no matter how many threads the BLAS carries.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .brownian import paths_fastest
 from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
     QuadraticField,
@@ -83,15 +91,72 @@ class RegressionConfig:
             raise InvalidArgument("inner_iters must be at least 1")
 
 
-def _chunked_gram(design, targets):
+def _chunked_gram(design, targets, with_gram: bool):
+    """``(gram, rhs)`` of the normal equations, summed over ordered row
+    chunks; ``gram`` is ``None`` unless ``with_gram``.  Each chunk is taken
+    in C order, so the einsum sums add in one order whatever the design's
+    layout."""
     n, p = design.shape
-    gram = np.zeros((p, p))
+    gram = np.zeros((p, p)) if with_gram else None
     rhs = np.zeros(p)
     for lo in range(0, n, _CHUNK):
-        block = design[lo : lo + _CHUNK]
-        gram += np.einsum("np,nq->pq", block, block, optimize=False)
+        block = np.ascontiguousarray(design[lo : lo + _CHUNK])
+        if with_gram:
+            gram += np.einsum("np,nq->pq", block, block, optimize=False)
         rhs += np.einsum("np,n->p", block, targets[lo : lo + _CHUNK], optimize=False)
     return gram, rhs
+
+
+class _NormalEquations:
+    """The ridge-regularized normal equations of one design.
+
+    The design's finiteness check, its Gram matrix and the Cholesky factor
+    are made at the first :meth:`solve` and serve every later one; each
+    solve then forms its own right-hand side.
+    """
+
+    def __init__(self, design, ridge: float):
+        self.design = np.asarray(design, dtype=np.float64)
+        if self.design.ndim != 2:
+            raise InvalidArgument(f"design {self.design.shape} is not a matrix")
+        if ridge < 0.0:
+            raise InvalidArgument("ridge must be nonnegative")
+        self.ridge = ridge
+        self._factor = None
+
+    def solve(self, targets) -> np.ndarray:
+        design = self.design
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (design.shape[0],):
+            raise InvalidArgument(
+                f"design {design.shape} and targets {targets.shape} do not align"
+            )
+        first = self._factor is None
+        if not (
+            (not first or np.all(np.isfinite(design)))
+            and np.all(np.isfinite(targets))
+        ):
+            raise NumericalFailure("non-finite values in regression inputs")
+        gram, rhs = _chunked_gram(design, targets, with_gram=first)
+        if first:
+            p = design.shape[1]
+            lam = self.ridge * np.trace(gram) / p
+            if lam > 0.0:
+                gram = gram + lam * np.eye(p)
+            try:
+                self._factor = cho_factor(gram, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficiencyError(
+                    "normal equations are numerically singular; "
+                    "pass a positive ridge"
+                ) from exc
+        coeffs = cho_solve(self._factor, rhs)
+        if not np.all(np.isfinite(coeffs)):
+            raise RankDeficiencyError(
+                "normal equations produced non-finite coefficients; "
+                "pass a positive ridge"
+            )
+        return coeffs
 
 
 def solve_linear_lsq(design, targets, ridge: float = 0.0) -> np.ndarray:
@@ -101,33 +166,7 @@ def solve_linear_lsq(design, targets, ridge: float = 0.0) -> np.ndarray:
     normal equations by Cholesky; a numerically singular Gram matrix with
     ``ridge = 0`` raises :class:`RankDeficiencyError`.
     """
-    design = np.asarray(design, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if design.ndim != 2 or targets.shape != (design.shape[0],):
-        raise InvalidArgument(
-            f"design {design.shape} and targets {targets.shape} do not align"
-        )
-    if ridge < 0.0:
-        raise InvalidArgument("ridge must be nonnegative")
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(targets))):
-        raise NumericalFailure("non-finite values in regression inputs")
-    gram, rhs = _chunked_gram(design, targets)
-    p = design.shape[1]
-    lam = ridge * np.trace(gram) / p
-    if lam > 0.0:
-        gram = gram + lam * np.eye(p)
-    try:
-        coeffs = cho_solve(cho_factor(gram, lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            "normal equations are numerically singular; pass a positive ridge"
-        ) from exc
-    if not np.all(np.isfinite(coeffs)):
-        raise RankDeficiencyError(
-            "normal equations produced non-finite coefficients; "
-            "pass a positive ridge"
-        )
-    return coeffs
+    return _NormalEquations(design, ridge).solve(targets)
 
 
 def _evaluate_iterate(coefficients, phi, xc, inside, coeffs):
@@ -172,6 +211,9 @@ def fit_step_differentiation(
     xc = clamp(x, warm_start)
     inside = inside_box(x, warm_start)
     phi = features(xc, warm_start.dim)
+    phi_rows = paths_fastest(phi.shape)  # the design's copy of phi
+    phi_rows[...] = phi
+    dw_rows = np.ascontiguousarray(dw)  # for the row dot of the loss
     coefficients = problem.at(t, x)
 
     coeffs = warm_start.coeffs
@@ -186,7 +228,8 @@ def fit_step_differentiation(
             raise NumericalFailure(
                 f"diffusion evaluated non-finite at t={t}", step=step
             )
-        design = phi + feature_derivative(xc, inside, diffusion.apply(dw))
+        design = feature_derivative(xc, inside, diffusion.apply(dw))
+        design += phi_rows
         targets = y_next + h * f_bar
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
         # the joint loss of the new iterate; its driver value is also the
@@ -194,7 +237,9 @@ def fit_step_differentiation(
         y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
             coefficients, phi, xc, inside, coeffs
         )
-        pred = y_bar - h * f_bar + np.einsum("nc,nc->n", z_bar, dw)
+        pred = y_bar - h * f_bar + np.einsum(
+            "nc,nc->n", np.ascontiguousarray(z_bar), dw_rows
+        )
         loss = float(np.mean(np.square(y_next - pred)))
         losses.append(loss)
         if last_loss is not None and loss > last_loss:
@@ -238,10 +283,11 @@ def fit_step_direct(
     dim_w = dw.shape[1]
     phi = features(clamp(x, warm_start), dim)
 
+    normal = _NormalEquations(phi, cfg.ridge)
     beta = np.empty((num_features(dim), dim_w))
     for comp in range(dim_w):
-        beta[:, comp] = solve_linear_lsq(phi, y_next * dw[:, comp] / h, cfg.ridge)
+        beta[:, comp] = normal.solve(y_next * dw[:, comp] / h)
     targets = y_next + h * problem.at(t, x).f(y_next, phi @ beta)
-    alpha = solve_linear_lsq(phi, targets, cfg.ridge)
+    alpha = normal.solve(targets)
     return (replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta),
             phi @ alpha)

@@ -38,6 +38,7 @@ from .brownian import (
     TimeGrid,
     coarsen_increments,
     make_time_grid,
+    paths_fastest,
     sample_fine_increments,
 )
 from .errors import InvalidArgument, NumericalFailure
@@ -127,9 +128,9 @@ def forward_simulate(
         )
     num_paths = increments.shape[0]
     dim, dim_w = problem.dim_x, problem.dim_w
-    x = np.empty((num_paths, grid.n + 1, dim))
-    y = np.empty((num_paths, grid.n + 1))
-    z = np.empty((num_paths, grid.n + 1, dim_w))
+    x = paths_fastest((num_paths, grid.n + 1, dim))
+    y = paths_fastest((num_paths, grid.n + 1))
+    z = paths_fastest((num_paths, grid.n + 1, dim_w))
     x[:, 0] = problem.x0
     h = grid.h
     for i in range(grid.n):
@@ -214,9 +215,9 @@ def _auto_box(problem, paths: PathBatch):
     non-degenerate when the zero-field first sweep freezes the paths
     (diffusion vanishing at zero value).
     """
-    flat = paths.x.reshape(-1, paths.dim)
-    q_lo = np.quantile(flat, 0.0005, axis=0)
-    q_hi = np.quantile(flat, 0.9995, axis=0)
+    states = paths.all_states()
+    q_lo = np.quantile(states, 0.0005, axis=0)
+    q_hi = np.quantile(states, 0.9995, axis=0)
     center = 0.5 * (q_lo + q_hi)
     half = np.maximum(0.55 * (q_hi - q_lo), 3.0)
     return center - half, center + half
@@ -303,6 +304,7 @@ def run_markovian_iteration(
             )
             all_fields.append(fields)
             all_zfields.append(zfields)
+            del paths  # freed before the next sweep is built
     except NumericalFailure as exc:
         exc.partial_fields = all_fields
         raise

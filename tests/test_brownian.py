@@ -1,5 +1,7 @@
 """Tests for time grids and the Philox-keyed Brownian store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -197,6 +199,17 @@ class TestCoarsen:
         fresh = coarsen_increments(sample_fine_increments(21, 10, 64, 2, 0.25), 8)
         assert np.array_equal(derived, fresh)
 
+    def test_one_window_alive_at_a_time(self):
+        # each streamed window (4 MiB here) is freed before the next is drawn
+        store = sample_fine_increments(3, 128, 2048, 4, 0.25)
+        tracemalloc.start()
+        try:
+            coarsen_increments(store, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 128 * 1024 * 4 * 8
+
     def test_non_divisor_raises(self):
         store = sample_fine_increments(1, 4, 20, 1, 0.25)
         with pytest.raises(InvalidArgument):
@@ -206,6 +219,37 @@ class TestCoarsen:
         store = sample_fine_increments(17, 4000, 64, 1, 0.25)
         coarse = coarsen_increments(store, 4)
         assert np.allclose(coarse.var(), 0.25 / 4, rtol=0.05)
+
+
+class TestLayout:
+    """Per-path arrays are stored paths-fastest: each component column of
+    a step's ``(paths, dim_w)`` slice is contiguous."""
+
+    def test_fine_increment_steps(self):
+        window = sample_fine_increments(3, 50, 64, 3, 0.25).fine_increments(5, 17)
+        for k in (0, 7, 11):
+            step = window[:, k]
+            assert step.strides[0] == step.itemsize
+
+    def test_coarse_increments_streamed_and_derived(self):
+        store = sample_fine_increments(3, 50, 64, 3, 0.25)
+        for n in (16, 4):  # 16 is streamed, 4 derived from the cached 16
+            coarse = coarsen_increments(store, n)
+            assert coarse.strides[0] == coarse.itemsize
+            assert coarse[:, 1].strides[0] == coarse.itemsize
+
+
+def test_all_states_is_a_view_listing_every_state():
+    rng = np.random.default_rng(1)
+    batch = PathBatch(
+        x=np.asfortranarray(rng.normal(size=(5, 9, 2))), y=rng.normal(size=(5, 9)),
+        z=rng.normal(size=(5, 9, 3)),
+    )
+    states = batch.all_states()
+    assert np.shares_memory(states, batch.x)
+    assert np.array_equal(
+        np.sort(states, axis=0), np.sort(batch.x.reshape(-1, 2), axis=0)
+    )
 
 
 def test_strided_batch_views_every_kth_node():

@@ -162,6 +162,16 @@ class TestJacobianFreeKernels:
         assert np.array_equal(phi + rows, phi + dense_derivative_rows(field, x, w))
 
 
+def test_layouts_of_features_and_feature_derivative():
+    # the feature derivative is stored paths-fastest; the public features
+    # stay in C order, whatever the layout of the states
+    field, x, w = box_batch(4, 128, seed=3)
+    xc = np.asfortranarray(clamp(x, field))
+    rows = feature_derivative(xc, inside_box(x, field), w)
+    assert rows.strides[0] == rows.itemsize
+    assert features(xc, 4).flags.c_contiguous
+
+
 class TestEvalVDiff:
     def test_identity_sigma_equals_gradient(self):
         rng = np.random.default_rng(2)

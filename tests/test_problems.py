@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsdekit.diagnostics import check_conditions
+from fbsdekit.diagnostics import AssumptionConstants, check_conditions, report_to_json
 from fbsdekit.errors import InvalidArgument
 from fbsdekit.problems import (
     decoupled_test_problem,
@@ -198,6 +198,17 @@ CLOSED_FORM_PROBLEMS = {
 }
 
 
+# (paths, d) inputs to the closed forms in C order, and in the
+# paths-fastest layout the solver and the reference store them in; the
+# composition they are held to takes the C-order inputs
+PATH_COUNTS_AND_LAYOUTS = pytest.mark.parametrize("num_paths, layout", [
+    pytest.param(1, np.ascontiguousarray, id="1"),
+    pytest.param(128, np.ascontiguousarray, id="128"),
+    pytest.param(15000, np.ascontiguousarray, id="15000"),
+    pytest.param(15000, np.asfortranarray, id="15000-paths-fastest"),
+])
+
+
 class TestClosedFormSteps:
     """Each closed-form reference step equals the composed step bit for bit.
 
@@ -205,9 +216,9 @@ class TestClosedFormSteps:
     analytic fields; this is what keeps the two copies in step.
     """
 
-    @pytest.mark.parametrize("num_paths", [1, 128, 15000])
+    @PATH_COUNTS_AND_LAYOUTS
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
-    def test_bit_identical_to_composition(self, name, num_paths):
+    def test_bit_identical_to_composition(self, name, num_paths, layout):
         problem = CLOSED_FORM_PROBLEMS[name]()
         composed = dataclasses.replace(problem, closed_form=None)
         assert problem.closed_form is not None
@@ -224,7 +235,7 @@ class TestClosedFormSteps:
                 )
                 dw = rng.normal(scale=math.sqrt(h), size=(num_paths, problem.dim_w))
                 assert np.array_equal(
-                    problem.reference_step(t, x, dw, h),
+                    problem.reference_step(t, layout(x), layout(dw), h),
                     composed.reference_step(t, x, dw, h),
                 )
 
@@ -255,9 +266,9 @@ class TestClosedFormCoefficients:
     without forming its matrices.
     """
 
-    @pytest.mark.parametrize("num_paths", [1, 128, 15000])
+    @PATH_COUNTS_AND_LAYOUTS
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
-    def test_bit_identical_to_composition(self, name, num_paths):
+    def test_bit_identical_to_composition(self, name, num_paths, layout):
         problem = CLOSED_FORM_PROBLEMS[name]()
         composed = dataclasses.replace(problem, closed_form=None)
         assert problem.closed_form is not None
@@ -277,17 +288,19 @@ class TestClosedFormCoefficients:
             # gradients of a field, zero along some clamped directions
             g = rng.normal(size=(num_paths, problem.dim_x))
             g[rng.random(g.shape) < 0.2] = 0.0
-            closed, plain = problem.at(t, x), composed.at(t, x)
-            f_closed = closed.f(y, z)
+            # the closed form takes the inputs in the layout under test
+            xs, zs, ws, gs = (layout(a) for a in (x, z, w, g))
+            closed, plain = problem.at(t, xs), composed.at(t, x)
+            f_closed = closed.f(y, zs)
             assert np.array_equal(f_closed, plain.f(y, z))
             # the state terms are kept from the first call
-            assert np.array_equal(closed.f(y, 2.0 * z), plain.f(y, 2.0 * z))
-            assert np.array_equal(closed.f(y, z), f_closed)
-            assert np.array_equal(closed.b(y, z), plain.b(y, z))
+            assert np.array_equal(closed.f(y, 2.0 * zs), plain.f(y, 2.0 * z))
+            assert np.array_equal(closed.f(y, zs), f_closed)
+            assert np.array_equal(closed.b(y, zs), plain.b(y, z))
             diffusion, matrices = closed.diffusion(y), plain.diffusion(y)
-            assert np.array_equal(diffusion.apply(w), matrices.apply(w))
+            assert np.array_equal(diffusion.apply(ws), matrices.apply(w))
             # the gradient process is stored as is: zeros keep their sign too
-            assert (diffusion.gradient(g).tobytes()
+            assert (diffusion.gradient(gs).tobytes()
                     == matrices.gradient(g).tobytes())
             assert diffusion.finite() and matrices.finite()
 
@@ -357,6 +370,20 @@ class TestExample1Constants:
         assert c.k_b == 0.0
         assert c.T == 0.25
         assert c.b_z == 2.0 * 0.1**2
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, dict(kappa_y=0.01, kappa_z=0.01, sigma_bar=0.2, dim=1)],
+        ids=["default", "weak"],
+    )
+    def test_python_floats_give_the_numpy_scalar_report(self, settings):
+        c = example1_assumption_constants(**settings)
+        values = dataclasses.asdict(c)
+        assert all(type(v) is float for v in values.values())
+        as_numpy = AssumptionConstants(**{k: np.float64(v) for k, v in values.items()})
+        assert report_to_json(check_conditions(c)) == report_to_json(
+            check_conditions(as_numpy)
+        )
 
     def test_conditions_reported_honestly(self):
         # The sufficient conditions are conservative: at these coupling

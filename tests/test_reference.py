@@ -1,6 +1,7 @@
 """Tests for reference simulation, error metrics, and rate fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestSimulateReference:
         ref8 = simulate_reference(problem, store, make_time_grid(0.25, 8))
         ref4 = simulate_reference(problem, store, make_time_grid(0.25, 4))
         assert np.array_equal(ref8.x[:, ::2], ref4.x)
+
+    def test_nodes_stored_paths_fastest(self):
+        problem = example1_problem()
+        store = sample_fine_increments(4, 30, 64, 4, problem.horizon)
+        ref = simulate_reference(problem, store, make_time_grid(problem.horizon, 8))
+        for nodes in (ref.x, ref.y, ref.z):
+            assert nodes.strides[0] == nodes.itemsize
+
+    def test_one_window_alive_at_a_time(self):
+        # each streamed window is freed before the next is drawn, so one
+        # window (4 MiB here) bounds the transient memory
+        problem = example1_problem()
+        store = sample_fine_increments(3, 128, 2048, 4, problem.horizon)
+        tracemalloc.start()
+        try:
+            simulate_reference(problem, store, make_time_grid(problem.horizon, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 128 * 1024 * 4 * 8
 
     def test_populates_coarse_cache(self):
         problem = example2_problem()
@@ -213,6 +234,18 @@ class TestComputeErrors:
         approx.z[:, -1, :] += 5.0
         report = compute_errors(approx, ref, self.grid)
         assert report.err_z == 0.0
+
+    def test_same_bits_for_either_layout(self):
+        # the means over paths add in one order, paths-fastest or not
+        approx = random_batch(self.rng, num_paths=3000, dim=4, dim_w=4)
+        ref = random_batch(self.rng, num_paths=3000, dim=4, dim_w=4)
+        report = compute_errors(approx, ref, self.grid)
+        approx_f, ref_f = (
+            batch(*(np.asfortranarray(a) for a in (b.x, b.y, b.z)))
+            for b in (approx, ref)
+        )
+        assert compute_errors(approx_f, ref_f, self.grid) == report
+        assert compute_errors(approx_f, ref, self.grid) == report
 
     def test_shape_mismatch(self):
         ref = random_batch(self.rng)

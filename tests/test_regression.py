@@ -73,6 +73,16 @@ class TestSolveLinearLsq:
         c = solve_linear_lsq(a, y, ridge=1e-8)
         assert np.all(np.isfinite(c))
 
+    def test_same_bits_for_either_design_layout(self):
+        # the Gram and right-hand-side sums take C-order chunks
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(9000, 15))
+        y = rng.normal(size=9000)
+        assert np.array_equal(
+            solve_linear_lsq(np.asfortranarray(a), y, 1e-10),
+            solve_linear_lsq(a, y, 1e-10),
+        )
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgument):
             solve_linear_lsq(np.ones((4, 2)), np.ones(5))
@@ -166,6 +176,18 @@ class TestFitStepDifferentiation:
         )
         assert len(losses) == 4
         assert losses[-1] <= losses[0] * 1.001
+
+    def test_paths_fastest_inputs_give_the_same_bits(self):
+        problem, t, h, x, y_next, dw, warm = example1_batch(n=5000)
+        field, y = fit_step_differentiation(
+            problem, t, x, y_next, dw, warm, self.cfg, h=h
+        )
+        field_f, y_f = fit_step_differentiation(
+            problem, t, np.asfortranarray(x), y_next, np.asfortranarray(dw), warm,
+            self.cfg, h=h,
+        )
+        assert np.array_equal(field_f.coeffs, field.coeffs)
+        assert np.array_equal(y_f, y)
 
     def test_non_finite_targets_raise(self):
         x = np.zeros((10, 1))
@@ -404,6 +426,25 @@ class TestFitStepDirect:
         expected = solve_linear_lsq(phi, targets, self.cfg.ridge)
         assert np.array_equal(ufield.coeffs, expected)
         assert np.array_equal(y, phi @ expected)
+
+
+    def test_every_component_equals_its_own_regression(self):
+        # dim_w = 4 columns and the value regression share one factored
+        # Gram; each equals the regression of its target alone
+        problem, t, h, x, y_next, dw, warm = example1_batch()
+        ufield, zfield, y = fit_step_direct(
+            problem, t, x, y_next, dw, warm, self.cfg, h=h
+        )
+        phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 4)
+        beta = np.column_stack([
+            solve_linear_lsq(phi, y_next * dw[:, c] / h, self.cfg.ridge)
+            for c in range(4)
+        ])
+        assert np.array_equal(zfield.coeffs, beta)
+        targets = y_next + h * problem.f(t, x, y_next, phi @ beta)
+        alpha = solve_linear_lsq(phi, targets, self.cfg.ridge)
+        assert np.array_equal(ufield.coeffs, alpha)
+        assert np.array_equal(y, phi @ alpha)
 
 
 class TestRegressionConfig:

@@ -1,6 +1,7 @@
 """Tests for the forward sweep, backward pass, and the outer iteration."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ class TestForwardSimulate:
                 eval_v_diff(fields[i], problem.sigma, grid.nodes[i], paths.x[:, i]),
             )
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_paths_stored_paths_fastest(self, method):
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 4)
+        inc = coarsen_increments(
+            sample_fine_increments(2, 40, 16, 4, problem.horizon), 4
+        )
+        zfields = None
+        if method == "direct":
+            zfields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
+            zfields = [dataclasses.replace(f, coeffs=np.zeros((15, 4)))
+                       for f in zfields]
+        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
+        paths = forward_simulate(problem, fields, inc, grid, zfields)
+        for arr in (paths.x, paths.y, paths.z):
+            assert arr.strides[0] == arr.itemsize
+
     def test_wrong_field_count(self):
         problem = make_problem()
         grid = make_time_grid(0.25, 4)
@@ -201,6 +219,27 @@ class TestBackwardPass:
         for i in range(1, n):  # step 0 sees the degenerate single point x0
             xs = np.quantile(paths.x[:, i, 0], [0.25, 0.5, 0.75])[:, None]
             assert np.max(np.abs(eval_u(fields[i], xs) - xs[:, 0])) <= tol
+
+
+def test_auto_box_equals_the_quantiles_of_row_major_states():
+    # the box's quantiles do not depend on the order the states are listed
+    problem = example1_problem()
+    grid = make_time_grid(problem.horizon, 8)
+    inc = coarsen_increments(
+        sample_fine_increments(6, 500, 64, 4, problem.horizon), 8
+    )
+    lo, hi = problem.x0 - 1.0, problem.x0 + 1.0
+    fields = [QuadraticField(4, 3.0 * np.eye(15)[0] + 0.3 * np.eye(15)[2], lo, hi)] * 8
+    paths = forward_simulate(problem, fields, inc, grid)
+    rows = np.ascontiguousarray(paths.x).reshape(-1, 4)
+    q_lo = np.quantile(rows, 0.0005, axis=0)
+    q_hi = np.quantile(rows, 0.9995, axis=0)
+    center = 0.5 * (q_lo + q_hi)
+    half = np.maximum(0.55 * (q_hi - q_lo), 3.0)
+    assert np.any(0.55 * (q_hi - q_lo) > 3.0)
+    box = solver._auto_box(problem, paths)
+    assert np.array_equal(box[0], center - half)
+    assert np.array_equal(box[1], center + half)
 
 
 class TestRunMarkovianIteration:
@@ -345,6 +384,24 @@ class TestRunMarkovianIteration:
         assert calls[-1] == 4
         if with_reference:
             assert len(result.per_iteration_errors) == 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_sweep_freed_before_the_next(self, monkeypatch, method):
+        # one sweep's paths at a time: sweep m is gone when m + 1 starts
+        problem = example2_problem()
+        sweeps = []
+
+        def tracking(*args, **kwargs):
+            assert all(ref() is None for ref in sweeps)
+            paths = forward_simulate(*args, **kwargs)
+            sweeps.append(weakref.ref(paths))
+            return paths
+
+        monkeypatch.setattr(solver, "forward_simulate", tracking)
+        cfg = SolverConfig(n_steps=4, num_iterations=3, num_paths=300, fine_n=16,
+                           method=method)
+        result = run_markovian_iteration(problem, cfg)
+        assert len(sweeps) == 4 and sweeps[-1]() is result.final_paths
 
     def test_checkpoint_round_trip(self, tmp_path):
         from fbsdekit.solver import read_checkpoint, write_checkpoint
