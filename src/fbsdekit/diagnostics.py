@@ -163,14 +163,14 @@ def _prod(a, b):
     return a * b
 
 
-def _golden_section_max(fn, lo, hi, iters=80):
-    """Golden-section maximum of ``fn`` on ``[lo, hi]``: ``(value, argument)``."""
+def _golden_section_min(fn, lo, hi, iters=80):
+    """Golden-section minimum of ``fn`` on ``[lo, hi]``: ``(value, argument)``."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if fc > fd:
+        if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = fn(c)
@@ -180,7 +180,7 @@ def _golden_section_max(fn, lo, hi, iters=80):
             fd = fn(d)
         if b - a < 1e-12 * max(1.0, abs(a)):
             break
-    return (fc, c) if fc > fd else (fd, d)
+    return (fc, c) if fc < fd else (fd, d)
 
 
 def gamma1(x, y):
@@ -305,11 +305,13 @@ def compute_L0_L1(c: AssumptionConstants):
     return l0, l1
 
 
-def _c0_bracket(c: AssumptionConstants, a4: float, a5: float, s: float) -> float:
-    """``T (g_x Gamma1(A4 T, s) + A5 T Gamma0(A4 T) Gamma0(s))``, the ``c0``
-    shape shared by ``compute_c_functions`` and ``compute_c2_at``."""
+def _c0_bracket(c: AssumptionConstants, a4: float, a5: float):
+    """``s -> T (g_x Gamma1(A4 T, s) + A5 T Gamma0(A4 T) Gamma0(s))``, the
+    ``c0`` shape shared by ``compute_c_functions`` and ``compute_c2_at``;
+    its factors free of ``s`` are computed once."""
     T = c.T
-    return T * (c.g_x * gamma1(a4 * T, s) + a5 * T * gamma0(a4 * T) * gamma0(s))
+    weight = a5 * T * gamma0(a4 * T)
+    return lambda s: T * (c.g_x * gamma1(a4 * T, s) + weight * gamma0(s))
 
 
 def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
@@ -318,7 +320,7 @@ def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
     a1, a2, a4, a5, b1, b2 = _bar_constants(c)
     d1, d2, d3 = compute_D_constants(c, 0.0, lbar)
     T = c.T
-    c0 = _c0_bracket(c, a4, a5, (a1 + d1) * T + _prod(a2 + d2, growth) * T)
+    c0 = _c0_bracket(c, a4, a5)((a1 + d1) * T + _prod(a2 + d2, growth) * T)
     c1 = _prod(a2 + d2, c0)
     l2 = (
         math.exp(max(a4, 0.0) * T) * c.g_0
@@ -348,47 +350,59 @@ def compute_c_functions_disc(
     return c0, c1, l2
 
 
+def _c2_of_lambda1(c: AssumptionConstants, lip: float, growth: float, lbar: float):
+    """``lambda1 -> compute_c2_at(c, lambda1, lip, growth, lbar)``, with the
+    factors free of ``lambda1`` computed once."""
+    a1, a2, a4, a5, _, _ = _bar_constants(c)
+    d1, d2, _ = compute_D_constants(c, 0.0, lbar)
+    T = c.T
+    with np.errstate(over="ignore"):
+        bracket = _c0_bracket(c, a4, a5)
+        exponent = ((a1 + d1) + _prod(a2 + d2, growth)) * T
+        prefactor = np.float64(max(math.exp(min(exponent, 709.0)), 1.0))
+        coupling = a2 + _prod(_prod(c.b_z, lbar), c.sigma_y)
+        lip_term = _prod(a2 + c.b_z * z_field_lipschitz_factor(c), lip)
+
+    def c2(lambda1):
+        with np.errstate(over="ignore"):
+            coefficient = (1.0 + 1.0 / lambda1) * coupling
+            arg = a1 + 1.0 + (1.0 + lambda1) * lip_term
+            return float(_prod(prefactor * coefficient, bracket(arg * T)))
+
+    return c2
+
+
 def compute_c2_at(
     c: AssumptionConstants, lambda1: float, lip: float, growth: float, lbar: float
 ) -> float:
     """Continuous (h -> 0) iteration-contraction factor at fixed lambda1."""
     if lambda1 <= 0.0:
         raise InvalidArgument("lambda1 must be positive")
-    a1, a2, a4, a5, _, _ = _bar_constants(c)
-    d1, d2, _ = compute_D_constants(c, 0.0, lbar)
-    T = c.T
-    with np.errstate(over="ignore"):
-        exponent = ((a1 + d1) + _prod(a2 + d2, growth)) * T
-        prefactor = max(math.exp(min(exponent, 709.0)), 1.0)
-        coefficient = (1.0 + 1.0 / lambda1) * (
-            a2 + _prod(_prod(c.b_z, lbar), c.sigma_y)
-        )
-        arg = a1 + 1.0 + (1.0 + lambda1) * _prod(
-            a2 + c.b_z * z_field_lipschitz_factor(c), lip
-        )
-        bracket = _c0_bracket(c, a4, a5, arg * T)
-        return float(_prod(np.float64(prefactor) * coefficient, bracket))
+    return _c2_of_lambda1(c, lip, growth, lbar)(lambda1)
 
 
 def compute_c2(c: AssumptionConstants, lip: float, growth: float, lbar: float):
-    """Infimum of the contraction factor over ``lambda1 > 0``.
+    """Infimum of the contraction factor over ``lambda1`` in ``[1e-6, 1e6]``.
 
-    Evaluates a 256-point log-spaced grid on ``[1e-6, 1e6]`` (plus the
-    point 1), then refines around the grid argmin by golden section.
-    Returns ``(value, minimizing lambda1)``.
+    ``log c2`` is convex in ``lambda1``, so one golden-section search over
+    ``log lambda1`` finds the infimum.  ``c2`` is a positive constant times
+    ``(1 + 1/lambda1)``, whose log is convex, times the bracket at
+    ``s = arg T``, which is affine in ``lambda1``.  The bracket is a sum,
+    with nonnegative weights, of ``Gamma0(s) = int_0^1 e^(u s) du`` and
+    ``Gamma1(A4 T, s)``, a sup over ``theta`` of functions log-convex in
+    ``s``; both are log-convex, hence so is the sum.  The lower end is
+    evaluated too, and ties go to the smaller ``lambda1``.  Returns
+    ``(value, minimizing lambda1)``, with ``compute_c2_at`` exactly
+    ``value`` at that ``lambda1``.
     """
-    grid = np.concatenate([np.logspace(-6.0, 6.0, 256), [1.0]])
-    grid.sort()
-    vals = np.array([compute_c2_at(c, lam, lip, growth, lbar) for lam in grid])
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    neg, lam_star = _golden_section_max(
-        lambda lam: -compute_c2_at(c, lam, lip, growth, lbar), lo, hi
+    c2 = _c2_of_lambda1(c, lip, growth, lbar)
+    value, log_star = _golden_section_min(
+        lambda u: c2(math.exp(u)), math.log(1e-6), math.log(1e6)
     )
-    if -neg < vals[k]:
-        return float(-neg), float(lam_star)
-    return float(vals[k]), float(grid[k])
+    lower = c2(1e-6)
+    if lower <= value:
+        return lower, 1e-6
+    return value, math.exp(log_star)
 
 
 def _default_report_h(c: AssumptionConstants) -> float:

@@ -91,7 +91,10 @@ class QuadraticField:
                 f"expected {p} coefficient rows for dim={self.dim}, got shape "
                 f"{self.coeffs.shape}"
             )
-        if np.any(self.trunc_lo >= self.trunc_hi):
+        shapes = (np.shape(self.trunc_lo), np.shape(self.trunc_hi))
+        if shapes != ((self.dim,),) * 2:
+            raise InvalidArgument(f"box bounds of shapes {shapes}, not ({self.dim},)")
+        if not np.all(np.less(self.trunc_lo, self.trunc_hi)):  # NaN fails too
             raise InvalidArgument("truncation box must have positive widths")
 
 

@@ -32,7 +32,10 @@ reference step and ``at`` and shares work between the coefficients:
 example1 and example2 do.  Their ``at`` computes the state-only terms of
 the driver once per step, on its first call, and applies their scalar
 times identity diffusions elementwise, without forming the
-``(n, dim_x, dim_w)`` matrices.
+``(n, dim_x, dim_w)`` matrices.  Each of their formulas of ``b``,
+``sigma``, ``f``, ``u`` and ``v`` is written once: the step calls it, and
+the public callables evaluate through ``at`` and one function of both
+fields, so these closed forms equal the composition by construction.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ class ClosedForm:
     from ``coefficients``, the ``(b, sigma, f, analytic_u, analytic_v)``
     they restate: the same formulas, the same operand order in every
     product, the same association in every sum, and the association
-    ``x + drift * h + sigma dw`` of the step.
+    ``x + drift * h + sigma dw`` of the step.  example1 and example2 keep
+    this by construction, as their callables are built from the formulas
+    the closed form calls; a closed form written by hand must keep it
+    itself.
     """
 
     step: Callable
@@ -116,6 +122,10 @@ class _ScaledIdentity:
     def finite(self):
         return bool(np.all(np.isfinite(self.scale)))
 
+    def matrices(self, dim):
+        """The ``(n, dim, dim)`` matrices ``scale * I``."""
+        return self.scale[:, :, None] * np.eye(dim)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -159,10 +169,9 @@ class ProblemSpec:
         if closed is not None:
             return closed.step(t, x, dw, h)
         u_vals = self.analytic_u(t, x)
-        v_vals = self.analytic_v(t, x)
-        drift = self.b(t, x, u_vals, v_vals)
-        smat = self.sigma(t, x, u_vals)
-        return x + drift * h + np.einsum("nic,nc->ni", smat, dw)
+        coefficients = self.at(t, x)
+        drift = coefficients.b(u_vals, self.analytic_v(t, x))
+        return x + drift * h + coefficients.diffusion(u_vals).apply(dw)
 
     def at(self, t, x):
         """The coefficients at time ``t`` bound to the states ``x``.
@@ -180,6 +189,39 @@ class ProblemSpec:
                 np.asarray(self.sigma(t, x, y), dtype=np.float64)
             ),
         )
+
+
+def _closed_form_problem(name, x0, T, g, grad_g, fields, at, step):
+    """A problem whose public callables come from its closed form.
+
+    ``fields(t, x)`` gives ``(u, v)``; ``b``, ``sigma`` and ``f`` evaluate
+    ``at(t, x)``, ``sigma`` as the matrices of its diffusion.  The
+    factory's ``step`` calls the same formulas as ``at`` and ``fields``, so
+    the :class:`ClosedForm` equals the composition by construction.
+    """
+    dim = x0.shape[0]
+
+    def b(t, x, y, z):
+        return at(t, x).b(y, z)
+
+    def sigma(t, x, y):
+        return at(t, x).diffusion(y).matrices(dim)
+
+    def f(t, x, y, z):
+        return at(t, x).f(y, z)
+
+    def analytic_u(t, x):
+        return fields(t, x)[0]
+
+    def analytic_v(t, x):
+        return fields(t, x)[1]
+
+    return ProblemSpec(
+        name=name, dim_x=dim, dim_w=dim, x0=x0, horizon=T,
+        b=b, sigma=sigma, f=f, g=g, grad_g=grad_g,
+        analytic_u=analytic_u, analytic_v=analytic_v,
+        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
+    )
 
 
 def example1_problem(
@@ -201,23 +243,6 @@ def example1_problem(
         raise InvalidArgument(f"dim must be positive, got {dim}")
     d = int(dim)
     T = float(horizon)
-    eye = np.eye(d)
-
-    def b(t, x, y, z):
-        return kappa_y * sigma_bar * y[:, None] + kappa_z * z
-
-    def sigma(t, x, y):
-        return sigma_bar * y[:, None, None] * eye[None, :, :]
-
-    def f(t, x, y, z):
-        s = np.sin(x).sum(axis=1)
-        decay3 = np.exp(-3.0 * rate * (T - t))
-        return (
-            -rate * y
-            + 0.5 * decay3 * sigma_bar**2 * s**3
-            - kappa_y * z.sum(axis=1)
-            - kappa_z * sigma_bar * decay3 * s * np.square(np.cos(x)).sum(axis=1)
-        )
 
     def g(x):
         return np.sin(x).sum(axis=1)
@@ -225,17 +250,23 @@ def example1_problem(
     def grad_g(x):
         return np.cos(x)
 
-    def analytic_u(t, x):
-        return np.exp(-rate * (T - t)) * np.sin(x).sum(axis=1)
+    def fields(t, x):
+        s = g(x)
+        return (
+            np.exp(-rate * (T - t)) * s,
+            np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x),
+        )
 
-    def analytic_v(t, x):
-        s = np.sin(x).sum(axis=1)
-        return np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x)
+    def drift(y, z):
+        return kappa_y * sigma_bar * y[:, None] + kappa_z * z
+
+    def scale(y):
+        return (sigma_bar * y)[:, None]
 
     def at(t, x):
         @functools.cache
         def state_terms():
-            s = np.sin(x).sum(axis=1)
+            s = g(x)
             decay3 = np.exp(-3.0 * rate * (T - t))
             return (
                 0.5 * decay3 * sigma_bar**2 * s**3,
@@ -247,32 +278,15 @@ def example1_problem(
             return -rate * y + cubic - kappa_y * z.sum(axis=1) - cross
 
         return _StepCoefficients(
-            b=lambda y, z: b(t, x, y, z),
-            f=f_at,
-            diffusion=lambda y: _ScaledIdentity((sigma_bar * y)[:, None]),
+            b=drift, f=f_at, diffusion=lambda y: _ScaledIdentity(scale(y))
         )
 
     def step(t, x, dw, h):
-        s = np.sin(x).sum(axis=1)
-        y = np.exp(-rate * (T - t)) * s
-        z = np.exp(-2.0 * rate * (T - t)) * sigma_bar * s[:, None] * np.cos(x)
-        drift = kappa_y * sigma_bar * y[:, None] + kappa_z * z
-        return x + drift * h + (sigma_bar * y)[:, None] * dw
+        y, z = fields(t, x)
+        return x + drift(y, z) * h + scale(y) * dw
 
-    return ProblemSpec(
-        name="example1",
-        dim_x=d,
-        dim_w=d,
-        x0=np.full(d, float(x0_scalar)),
-        horizon=T,
-        b=b,
-        sigma=sigma,
-        f=f,
-        g=g,
-        grad_g=grad_g,
-        analytic_u=analytic_u,
-        analytic_v=analytic_v,
-        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
+    return _closed_form_problem(
+        "example1", np.full(d, float(x0_scalar)), T, g, grad_g, fields, at, step
     )
 
 
@@ -280,42 +294,32 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
     """One-dimensional drift coupled in Z only (no Y in the drift).
 
     The exact value process is ``sin(t + x)`` and the gradient process is
-    ``cos^2(t + x)``.
+    ``cos^2(t + x)``; every coefficient is written in ``sin(t + x)`` and
+    ``cos(t + x)``.
     """
     T = float(horizon)
 
-    def b(t, x, y, z):
+    def trig_fields(sin_w, cos_w):
+        return sin_w[:, 0], np.square(cos_w)
+
+    def fields(t, x):
         w = t + x
-        return -0.5 * np.sin(w) * np.cos(w) * (np.square(np.sin(w)) + z)
-
-    def sigma(t, x, y):
-        return np.cos(t + x)[:, :, None]
-
-    def f(t, x, y, z):
-        return y * z[:, 0] - np.cos(t + x[:, 0])
+        return trig_fields(np.sin(w), np.cos(w))
 
     def g(x):
-        return np.sin(T + x[:, 0])
+        return fields(T, x)[0]
 
     def grad_g(x):
         return np.cos(T + x)
 
-    def analytic_u(t, x):
-        return np.sin(t + x[:, 0])
-
-    def analytic_v(t, x):
-        return np.square(np.cos(t + x))
+    def drift(sin_w, cos_w, z):
+        return -0.5 * sin_w * cos_w * (np.square(sin_w) + z)
 
     def at(t, x):
         w = t + x
         cos_w = np.cos(w)
-
-        def b_at(y, z):
-            sin_w = np.sin(w)
-            return -0.5 * sin_w * cos_w * (np.square(sin_w) + z)
-
         return _StepCoefficients(
-            b=b_at,
+            b=lambda y, z: drift(np.sin(w), cos_w, z),
             f=lambda y, z: y * z[:, 0] - cos_w[:, 0],
             diffusion=lambda y: _ScaledIdentity(cos_w),
         )
@@ -323,23 +327,11 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
     def step(t, x, dw, h):
         w = t + x
         sin_w, cos_w = np.sin(w), np.cos(w)
-        drift = -0.5 * sin_w * cos_w * (np.square(sin_w) + np.square(cos_w))
-        return x + drift * h + cos_w * dw
+        _, v = trig_fields(sin_w, cos_w)
+        return x + drift(sin_w, cos_w, v) * h + cos_w * dw
 
-    return ProblemSpec(
-        name="example2",
-        dim_x=1,
-        dim_w=1,
-        x0=np.array([float(x0_scalar)]),
-        horizon=T,
-        b=b,
-        sigma=sigma,
-        f=f,
-        g=g,
-        grad_g=grad_g,
-        analytic_u=analytic_u,
-        analytic_v=analytic_v,
-        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
+    return _closed_form_problem(
+        "example2", np.array([float(x0_scalar)]), T, g, grad_g, fields, at, step
     )
 
 
@@ -364,37 +356,20 @@ def decoupled_test_problem(
     def f(t, x, y, z):
         return np.zeros(x.shape[0])
 
-    if kind == "brownian-linear":
-        return ProblemSpec(
-            name="brownian-linear",
-            dim_x=1,
-            dim_w=1,
-            x0=np.array([0.0]),
-            horizon=T,
-            b=b,
-            sigma=sigma,
-            f=f,
-            g=lambda x: x[:, 0].copy(),
-            grad_g=lambda x: np.ones_like(x),
-            analytic_u=lambda t, x: x[:, 0].copy(),
-            analytic_v=lambda t, x: np.ones((x.shape[0], 1)),
-        )
-    if kind == "constant":
-        return ProblemSpec(
-            name="constant",
-            dim_x=1,
-            dim_w=1,
-            x0=np.array([0.0]),
-            horizon=T,
-            b=b,
-            sigma=sigma,
-            f=f,
-            g=lambda x: np.full(x.shape[0], value),
-            grad_g=lambda x: np.zeros_like(x),
-            analytic_u=lambda t, x: np.full(x.shape[0], value),
-            analytic_v=lambda t, x: np.zeros((x.shape[0], 1)),
-        )
-    raise InvalidArgument(f"unknown test problem kind {kind!r}")
+    terminal = {
+        "brownian-linear": (lambda x: x[:, 0].copy(), np.ones_like),
+        "constant": (lambda x: np.full(x.shape[0], value), np.zeros_like),
+    }
+    if kind not in terminal:
+        raise InvalidArgument(f"unknown test problem kind {kind!r}")
+    g, grad_g = terminal[kind]
+    # the fields never move off g: u(t, x) = g(x) and, as sigma = 1,
+    # v(t, x) = grad_g(x)
+    return ProblemSpec(
+        name=kind, dim_x=1, dim_w=1, x0=np.array([0.0]), horizon=T,
+        b=b, sigma=sigma, f=f, g=g, grad_g=grad_g,
+        analytic_u=lambda t, x: g(x), analytic_v=lambda t, x: grad_g(x),
+    )
 
 
 def example1_assumption_constants(

@@ -100,6 +100,16 @@ def simulate_reference(
     return PathBatch(x=x_nodes, y=y_nodes, z=z_nodes)
 
 
+def _squared_deviations(a, b):
+    """``|a - b|^2`` per path and node, squared in place, in C order so that
+    sums over paths add in one order whatever the batches' layout."""
+    diff = a - b
+    np.square(diff, out=diff)
+    if diff.ndim == 3:
+        diff = diff.sum(axis=2)  # freed before the C-order copy is made
+    return np.ascontiguousarray(diff)
+
+
 def compute_errors(
     approx: PathBatch, reference: PathBatch, grid: TimeGrid, **provenance
 ) -> ErrorReport:
@@ -113,11 +123,9 @@ def compute_errors(
         raise InvalidArgument(
             f"batch has {approx.num_nodes} nodes, grid expects {grid.n + 1}"
         )
-    # (paths, nodes), in C order: the means and the sum over paths below
-    # then add in the same order whatever the batches' layout
-    sq_x = np.ascontiguousarray(np.square(approx.x - reference.x).sum(axis=2))
-    sq_y = np.ascontiguousarray(np.square(approx.y - reference.y))
-    sq_z = np.ascontiguousarray(np.square(approx.z - reference.z).sum(axis=2))
+    sq_x = _squared_deviations(approx.x, reference.x)
+    sq_y = _squared_deviations(approx.y, reference.y)
+    sq_z = _squared_deviations(approx.z, reference.z)
     err_x = float(np.max(sq_x.mean(axis=0)))
     err_y = float(np.max(sq_y.mean(axis=0)))
     num_paths = approx.num_paths

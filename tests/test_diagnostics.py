@@ -278,6 +278,26 @@ class TestC2:
         # the reported minimizer attains the reported value
         assert compute_c2_at(c, lam, 1.0, 1.0, 2.0) == val
 
+    def test_one_search_reaches_a_fine_grid_minimum(self):
+        # log c2 is convex in lambda1, so the golden-section search alone
+        # must reach the minimum over a fine log grid of the same range
+        rng = np.random.default_rng(15)
+        lambdas = np.logspace(-6.0, 6.0, 4001)
+        for _ in range(6):
+            c = constants(
+                k_b=rng.uniform(-0.5, 0.5), k_f=rng.uniform(-0.5, 0.5),
+                b_y=rng.uniform(0.0, 1.0), b_z=rng.uniform(0.0, 0.5),
+                sigma_x=rng.uniform(0.0, 1.0), sigma_y=rng.uniform(0.0, 1.0),
+                f_x=rng.uniform(0.0, 2.0), f_z=rng.uniform(0.0, 1.0),
+                g_x=rng.uniform(0.0, 2.0), Sigma=rng.uniform(0.0, 2.0),
+                T=rng.uniform(0.1, 1.5),
+            )
+            lip, growth, lbar = rng.uniform(0.01, 5.0, size=3)
+            val, lam = compute_c2(c, lip, growth, lbar)
+            grid_min = min(compute_c2_at(c, x, lip, growth, lbar) for x in lambdas)
+            assert 0.0 < val <= (1.0 + 1e-12) * grid_min
+            assert compute_c2_at(c, lam, lip, growth, lbar) == val
+
     def test_zero_coupling_gives_zero(self):
         c = constants(b_y=0.0, sigma_y=0.0, b_z=0.0, f_x=0.5, g_x=1.0)
         val, _ = compute_c2(c, lip=1.0, growth=1.0, lbar=1.0)

@@ -34,6 +34,18 @@ def make_field(dim, coeffs, half=10.0):
     )
 
 
+# boxes of a 2-d field that are not two (2,) bounds with lo < hi
+MALFORMED_BOXES = [
+    pytest.param([-1.0], [1.0], id="1-box"),
+    pytest.param([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], id="3-box"),
+    pytest.param([[-1.0, -1.0]], [[1.0, 1.0]], id="1x2-box"),
+    pytest.param([-1.0, -1.0], 1.0, id="scalar-hi"),
+    pytest.param([-1.0, np.nan], [1.0, 1.0], id="nan-lo"),
+    pytest.param([-1.0, -1.0], [np.nan, 1.0], id="nan-hi"),
+    pytest.param([-1.0, 1.0], [1.0, 1.0], id="empty-width"),
+]
+
+
 class TestFeatures:
     def test_one_dim(self):
         assert np.array_equal(features([2.0], 1), [1.0, 2.0, 4.0])
@@ -269,6 +281,11 @@ class TestEvalVDirect:
         assert np.array_equal(eval_u(field, x), columns)
         assert np.array_equal(eval_u(field, x[0]), columns[0])
 
+    @pytest.mark.parametrize("lo, hi", MALFORMED_BOXES)
+    def test_malformed_box_rejected(self, lo, hi):
+        with pytest.raises(InvalidArgument):
+            QuadraticField(2, np.zeros(num_features(2)), np.array(lo), np.array(hi))
+
     def test_coefficient_rows_checked(self):
         with pytest.raises(InvalidArgument):
             QuadraticField(
@@ -336,6 +353,13 @@ class TestSerialization:
     def test_gradient_record_with_empty_box_rejected(self):
         record = json.loads(GRADIENT_RECORD)
         record["trunc_lo"], record["trunc_hi"] = record["trunc_hi"], record["trunc_lo"]
+        with pytest.raises(InvalidArgument):
+            field_from_record(record)
+
+    @pytest.mark.parametrize("lo, hi", MALFORMED_BOXES)
+    def test_value_record_with_malformed_box_rejected(self, lo, hi):
+        record = json.loads(VALUE_RECORD)
+        record["trunc_lo"], record["trunc_hi"] = lo, hi
         with pytest.raises(InvalidArgument):
             field_from_record(record)
 

@@ -247,6 +247,28 @@ class TestComputeErrors:
         assert compute_errors(approx_f, ref_f, self.grid) == report
         assert compute_errors(approx_f, ref, self.grid) == report
 
+    @pytest.mark.parametrize("dim, arrays", [(4, 2.25), (1, 4.25)])
+    def test_deviations_squared_in_place(self, dim, arrays):
+        # the difference is squared in place and freed before its C-order
+        # copy; at dim 1 the sum over components and that copy are as large
+        # as the difference, so the bound is in units of a (paths, nodes,
+        # dim) array
+        num_paths, n = 8192, 8
+        approx, ref = (
+            batch(*(np.asfortranarray(a) for a in (b.x, b.y, b.z)))
+            for b in (random_batch(self.rng, num_paths, n, dim, dim)
+                      for _ in range(2))
+        )
+        grid = make_time_grid(0.25, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute_errors(approx, ref, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * num_paths * (n + 1) * dim * 8
+
     def test_shape_mismatch(self):
         ref = random_batch(self.rng)
         small = random_batch(self.rng, num_paths=10)

@@ -1,6 +1,7 @@
 """Tests for the forward sweep, backward pass, and the outer iteration."""
 
 import dataclasses
+import json
 import weakref
 
 import numpy as np
@@ -423,6 +424,21 @@ class TestRunMarkovianIteration:
                 assert np.array_equal(
                     zfields[m][i].coeffs, result.zfields[m][i].coeffs
                 )
+
+    @pytest.mark.parametrize("box", [([-1.0], [1.0]), ([-1.0, np.nan], [1.0, 1.0])],
+                             ids=["1-box", "nan-lo"])
+    def test_checkpoint_with_malformed_box_rejected(self, tmp_path, box):
+        from fbsdekit.solver import read_checkpoint, write_checkpoint
+
+        problem = example1_problem(dim=2)
+        cfg = SolverConfig(n_steps=2, num_iterations=1, num_paths=100, fine_n=8)
+        path = tmp_path / "fields.jsonl"
+        write_checkpoint(run_markovian_iteration(problem, cfg), path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[-1]["trunc_lo"], records[-1]["trunc_hi"] = box
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(InvalidArgument):
+            read_checkpoint(path)
 
     def test_partial_fields_attached_on_failure(self):
         # blow up only once the fields are nonzero: forward sweep 2, which
