@@ -14,15 +14,17 @@ the coordinates inside the box, the clamped features ``phi`` and the
 step's coefficients ``problem.at(t, X)`` are built once per step, and each
 iterate is evaluated once from them: ``y = phi theta``, the diffusion at
 ``y``, ``z`` as the gradient of the field contracted with it, and
-``f(y, z)`` give its joint loss and the frozen quantities of the next
-linearization.  ``fit_step_direct`` is the two-regression baseline: the
-gradient process is regressed from ``h^-1 Y_next dW`` with its own
-coefficients, then the value process once from
-``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1`` regressions share
-one design, so they share its Gram matrix and Cholesky factor, and each
-target is solved alone with that factor.  Both fits also return the values
-of the fitted value field on the step's states, which the backward pass
-takes as the previous step's target.
+``f(y, z)`` give the frozen quantities of the next linearization.  The
+joint loss of an iterate is a diagnostic of the method, not an input to
+it (a linearized solve is not a guaranteed descent step), and is
+computed only when the caller collects it.  ``fit_step_direct`` is the
+two-regression baseline: the gradient process is regressed from
+``h^-1 Y_next dW`` with its own coefficients, then the value process
+once from ``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1``
+regressions share one design, so they share its Gram matrix and Cholesky
+factor, and each target is solved alone with that factor.  Both fits
+also return the values of the fitted value field on the step's states,
+which the backward pass takes as the previous step's target.
 
 The design rows are ``phi`` plus the derivative of the features along
 ``sigma dW``, formed without the feature Jacobian
@@ -40,7 +42,6 @@ bit-identical no matter how many threads the BLAS carries.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,8 +66,6 @@ __all__ = [
     "fit_step_differentiation",
     "fit_step_direct",
 ]
-
-logger = logging.getLogger("fbsdekit.regression")
 
 _CHUNK = 4096
 
@@ -198,9 +197,8 @@ def fit_step_differentiation(
 
     ``warm_start`` supplies the initial frozen iterate and the truncation
     box of the returned field.  The linearized subproblem is re-solved
-    ``cfg.inner_iters`` times; the empirical joint loss is tracked (pass a
-    list as ``loss_history`` to collect it) and material increases are
-    logged.
+    ``cfg.inner_iters`` times.  The empirical joint loss of each iterate
+    is computed only when ``loss_history`` is given, and appended to it.
 
     Returns ``(field, y)`` with ``y`` the field's values on ``x``, equal to
     ``eval_u(field, x)``.
@@ -213,16 +211,12 @@ def fit_step_differentiation(
     phi = features(xc, warm_start.dim)
     phi_rows = paths_fastest(phi.shape)  # the design's copy of phi
     phi_rows[...] = phi
-    dw_rows = np.ascontiguousarray(dw)  # for the row dot of the loss
     coefficients = problem.at(t, x)
 
     coeffs = warm_start.coeffs
     y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
         coefficients, phi, xc, inside, coeffs
     )
-    last_loss = None
-    losses = loss_history if loss_history is not None else []
-    loss_floor = 1e-12 * (1.0 + float(np.mean(np.square(y_next))))
     for _ in range(cfg.inner_iters):
         if not diffusion.finite():
             raise NumericalFailure(
@@ -232,26 +226,16 @@ def fit_step_differentiation(
         design += phi_rows
         targets = y_next + h * f_bar
         coeffs = solve_linear_lsq(design, targets, cfg.ridge)
-        # the joint loss of the new iterate; its driver value is also the
-        # next linearization's drift
+        # the new iterate; its driver value is the next linearization's drift
         y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
             coefficients, phi, xc, inside, coeffs
         )
-        pred = y_bar - h * f_bar + np.einsum(
-            "nc,nc->n", np.ascontiguousarray(z_bar), dw_rows
-        )
-        loss = float(np.mean(np.square(y_next - pred)))
-        losses.append(loss)
-        if last_loss is not None and loss > last_loss:
-            # the linearization is not a guaranteed descent step; surface
-            # only increases that are material relative to the target scale
-            material = loss > 1.05 * last_loss and loss - last_loss > loss_floor
-            logger.log(
-                logging.WARNING if material else logging.DEBUG,
-                "joint loss increased at t=%s (step %s): %.6e -> %.6e",
-                t, step, last_loss, loss,
+        if loss_history is not None:
+            # the joint loss; its row dot takes C-order operands
+            pred = y_bar - h * f_bar + np.einsum(
+                "nc,nc->n", np.ascontiguousarray(z_bar), np.ascontiguousarray(dw)
             )
-        last_loss = loss
+            loss_history.append(float(np.mean(np.square(y_next - pred))))
     return replace(warm_start, coeffs=coeffs), y_bar
 
 

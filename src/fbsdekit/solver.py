@@ -26,8 +26,7 @@ feature Jacobian, contracted with that diffusion.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,8 +60,6 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
 ]
-
-logger = logging.getLogger("fbsdekit.solver")
 
 METHODS = ("differentiation", "direct")
 
@@ -268,16 +265,11 @@ def run_markovian_iteration(
     per_iteration = [] if reference_paths is not None else None
 
     # zero fields evaluate to zero whatever their box; the placeholder box
-    # x0 +- 3 is replaced by the data-adaptive one after the first sweep
+    # x0 +- 3 is replaced by the data-adaptive one after the first sweep.
+    # Both methods start by differentiating them, which gives Z = 0.
     start_box = box or (problem.x0 - 3.0, problem.x0 + 3.0)
-    zero = zero_field(problem.dim_x, *start_box)
-    fields = [zero] * cfg.n_steps
-    zfields = (
-        [replace(zero, coeffs=np.zeros((zero.coeffs.size, problem.dim_w)))]
-        * cfg.n_steps
-        if cfg.method == "direct"
-        else None
-    )
+    fields = [zero_field(problem.dim_x, *start_box)] * cfg.n_steps
+    zfields = None
 
     try:
         for m in range(1, cfg.num_iterations + 2):
@@ -331,6 +323,8 @@ def read_checkpoint(path):
     """Load a checkpoint back into ``(fields, zfields)`` nested lists.
 
     ``zfields`` is ``None`` when the checkpoint holds no gradient fields.
+    A table that lacks an ``(iteration, time_index)`` up to the largest
+    of each it holds raises :class:`InvalidArgument` naming the first.
     """
     fields = {}
     zfields = {}
@@ -342,14 +336,21 @@ def read_checkpoint(path):
                 field_from_record(record)
             )
 
-    def to_nested(table):
+    def to_nested(table, kind):
         if not table:
             return None
-        iterations = max(m for m, _ in table) - min(m for m, _ in table) + 1
+        iterations = max(m for m, _ in table)
         steps = max(i for _, i in table) + 1
+        for m in range(1, iterations + 1):
+            for i in range(steps):
+                if (m, i) not in table:
+                    raise InvalidArgument(
+                        f"checkpoint {path} has no {kind} field at "
+                        f"(iteration, time_index) = ({m}, {i})"
+                    )
         return [
             [table[(m, i)] for i in range(steps)]
             for m in range(1, iterations + 1)
         ]
 
-    return to_nested(fields), to_nested(zfields)
+    return to_nested(fields, "value"), to_nested(zfields, "gradient")

@@ -14,7 +14,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODULES = [
     path
-    for pattern in ("src/fbsdekit/*.py", "tests/*.py", "demos/*.py")
+    for pattern in ("src/fbsdekit/*.py", "tests/*.py", "demos/*.py", "tools/*.py")
     for path in sorted(REPO_ROOT.glob(pattern))
     if path.name != "__init__.py"
 ]

@@ -156,6 +156,28 @@ class TestForwardSimulate:
         for arr in (paths.x, paths.y, paths.z):
             assert arr.strides[0] == arr.itemsize
 
+    @pytest.mark.parametrize("factory", [
+        example1_problem, example2_problem,
+        lambda: decoupled_test_problem("brownian-linear"),
+    ], ids=["example1", "example2", "brownian-linear"])
+    def test_zero_gradient_fields_equal_differentiated_zero_fields(self, factory):
+        # the direct method's first sweep differentiates the zero value
+        # fields instead of reading zero gradient fields: the same bits
+        problem = factory()
+        grid = make_time_grid(problem.horizon, 8)
+        inc = coarsen_increments(
+            sample_fine_increments(3, 400, 64, problem.dim_w, problem.horizon), 8
+        )
+        fields = [zero_field(problem.dim_x, problem.x0 - 3.0, problem.x0 + 3.0)] * 8
+        zfields = [dataclasses.replace(
+            f, coeffs=np.zeros((f.coeffs.size, problem.dim_w))) for f in fields]
+        differentiated = forward_simulate(problem, fields, inc, grid)
+        read = forward_simulate(problem, fields, inc, grid, zfields)
+        for name in ("x", "y", "z"):
+            ours, theirs = getattr(differentiated, name), getattr(read, name)
+            assert np.array_equal(ours, theirs)
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+
     def test_wrong_field_count(self):
         problem = make_problem()
         grid = make_time_grid(0.25, 4)
@@ -438,6 +460,26 @@ class TestRunMarkovianIteration:
         records[-1]["trunc_lo"], records[-1]["trunc_hi"] = box
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(InvalidArgument):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("dropped, message", [
+        (lambda r: r["iteration"] == 1, r"no value field at .* = \(1, 0\)"),
+        (lambda r: "dim_w" in r and (r["iteration"], r["time_index"]) == (2, 1),
+         r"no gradient field at .* = \(2, 1\)"),
+    ], ids=["first-iteration", "middle-gradient-record"])
+    def test_incomplete_checkpoint_rejected(self, tmp_path, dropped, message):
+        from fbsdekit.solver import read_checkpoint, write_checkpoint
+
+        problem = example2_problem()
+        cfg = SolverConfig(n_steps=3, num_iterations=3, num_paths=200,
+                           fine_n=12, method="direct")
+        path = tmp_path / "fields.jsonl"
+        write_checkpoint(run_markovian_iteration(problem, cfg), path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        kept = [r for r in records if not dropped(r)]
+        assert len(kept) < len(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in kept))
+        with pytest.raises(InvalidArgument, match=message):
             read_checkpoint(path)
 
     def test_partial_fields_attached_on_failure(self):
