@@ -2,10 +2,10 @@
 
 ``fbsde sweep`` runs one solver configuration per value in a list of N
 or M values against a reference solution, reusing the same Brownian
-store, and emits one CSV record each (N sweeps append the fitted log-log
-rate of the total error); ``fbsde run`` is the sweep over the single
-value N.  ``fbsde diagnose`` evaluates the convergence conditions for a
-constants file.
+store, and emits one CSV record each (N sweeps over two distinct N or
+more append the fitted log-log rate of the total error); ``fbsde run`` is
+the sweep over the single value N.  ``fbsde diagnose`` evaluates the
+convergence conditions for a constants file.
 
 Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
@@ -178,16 +178,16 @@ def _solver_config(options, n, m) -> SolverConfig:
     )
 
 
-def _format_row(options, report, wall_ms) -> str:
+def _format_row(problem_name, cfg, report, wall_ms) -> str:
     return ",".join(
         [
-            report.method,
-            options["problem"],
-            str(report.n_steps),
-            str(report.num_iterations),
-            str(report.num_paths),
-            str(report.seed),
-            str(report.fine_n),
+            cfg.method,
+            problem_name,
+            str(cfg.n_steps),
+            str(cfg.num_iterations),
+            str(cfg.num_paths),
+            str(cfg.seed),
+            str(cfg.fine_n),
             repr(report.err_x),
             repr(report.err_y),
             repr(report.err_z),
@@ -216,20 +216,6 @@ class _CsvSink:
                 lines = self._lines if fresh else self._lines[1:]
                 for line in lines:
                     handle.write(line + "\n")
-
-
-def _execute(problem, options, n, m, store, reference):
-    start = time.perf_counter()
-    cfg = _solver_config(options, n, m)
-    result = run_markovian_iteration(problem, cfg, store=store)
-    grid = make_time_grid(problem.horizon, n)
-    report = compute_errors(
-        result.final_paths, reference, grid,
-        n_steps=n, num_iterations=m, num_paths=cfg.num_paths,
-        method=cfg.method, seed=cfg.seed, fine_n=cfg.fine_n,
-    )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return report, wall_ms
 
 
 def _sweep(options, sweep, values) -> int:
@@ -267,10 +253,15 @@ def _sweep(options, sweep, values) -> int:
     for v in values:
         n = v if sweep == "N" else options["N"]
         m = v if sweep == "M" else options["M"]
-        report, wall_ms = _execute(problem, options, n, m, store, references[n])
+        start = time.perf_counter()
+        cfg = _solver_config(options, n, m)
+        result = run_markovian_iteration(problem, cfg, store=store)
+        report = compute_errors(result.final_paths, references[n], grids[n])
+        del result  # freed before the next run is built
+        wall_ms = (time.perf_counter() - start) * 1000.0
         totals.append((v, report.total))
-        sink.emit(_format_row(options, report, wall_ms))
-    if sweep == "N" and len(totals) >= 2:
+        sink.emit(_format_row(options["problem"], cfg, report, wall_ms))
+    if sweep == "N" and len(grids) >= 2:
         sink.emit(f"# rate_total,{repr(fit_rate(totals))}")
     sink.close()
     return 0
@@ -323,7 +314,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
-        where = f" (iteration {exc.iteration}, step {exc.step})" if exc.step is not None else ""
+        labels = ", ".join(
+            f"{label} {getattr(exc, label)}"
+            for label in ("iteration", "step", "path")
+            if getattr(exc, label) is not None
+        )
+        where = f" ({labels})" if labels else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return 2
     except FBSDEError as exc:

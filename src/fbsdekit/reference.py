@@ -15,7 +15,6 @@ same increments, the error metrics below are strong (pathwise) errors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,18 +26,12 @@ __all__ = ["ErrorReport", "simulate_reference", "compute_errors", "fit_rate"]
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error metrics of one run plus provenance metadata."""
+    """Strong errors of one batch against its reference."""
 
     err_x: float
     err_y: float
     err_z: float
     total: float
-    n_steps: Optional[int] = None
-    num_iterations: Optional[int] = None
-    num_paths: Optional[int] = None
-    method: Optional[str] = None
-    seed: Optional[int] = None
-    fine_n: Optional[int] = None
 
 
 def simulate_reference(
@@ -111,9 +104,9 @@ def _squared_deviations(a, b):
 
 
 def compute_errors(
-    approx: PathBatch, reference: PathBatch, grid: TimeGrid, **provenance
+    approx: PathBatch, reference: PathBatch, grid: TimeGrid
 ) -> ErrorReport:
-    """Strong error metrics between two path batches on the same grid."""
+    """Strong errors of one batch against its reference on the same grid."""
     if approx.x.shape != reference.x.shape or approx.z.shape != reference.z.shape:
         raise InvalidArgument(
             f"shape mismatch: approx x {approx.x.shape} z {approx.z.shape} vs "
@@ -137,17 +130,17 @@ def compute_errors(
         err_y=err_y,
         err_z=err_z,
         total=err_x + err_y + err_z,
-        **provenance,
     )
 
 
 def fit_rate(points) -> float:
-    """Least-squares slope of ``log2(err)`` against ``log2(n)``."""
+    """Least-squares slope of ``log2(err)`` against ``log2(n)``; needs at
+    least two distinct step counts."""
     points = list(points)
-    if len(points) < 2:
-        raise InvalidArgument("need at least two (n, err) points")
     ns = np.array([float(n) for n, _ in points])
     errs = np.array([float(e) for _, e in points])
+    if len(set(ns)) < 2:
+        raise InvalidArgument("need (n, err) points at two distinct n or more")
     if np.any(errs <= 0.0) or np.any(ns <= 0.0):
         raise InvalidArgument("rate fit needs positive step counts and errors")
     log_n = np.log2(ns)

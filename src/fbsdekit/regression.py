@@ -190,7 +190,6 @@ def fit_step_differentiation(
     warm_start: QuadraticField,
     cfg: RegressionConfig,
     h: float,
-    step: int | None = None,
     loss_history: list | None = None,
 ) -> tuple[QuadraticField, np.ndarray]:
     """Fit the value field with the gradient process tied by differentiation.
@@ -219,9 +218,7 @@ def fit_step_differentiation(
     )
     for _ in range(cfg.inner_iters):
         if not diffusion.finite():
-            raise NumericalFailure(
-                f"diffusion evaluated non-finite at t={t}", step=step
-            )
+            raise NumericalFailure(f"diffusion evaluated non-finite at t={t}")
         design = feature_derivative(xc, inside, diffusion.apply(dw))
         design += phi_rows
         targets = y_next + h * f_bar
@@ -248,7 +245,6 @@ def fit_step_direct(
     warm_start: QuadraticField,
     cfg: RegressionConfig,
     h: float,
-    step: int | None = None,
 ) -> tuple[QuadraticField, QuadraticField, np.ndarray]:
     """Two-regression baseline: fit the gradient process from the
     martingale increment ``h^-1 Y_next dW`` (componentwise), then the

@@ -106,7 +106,6 @@ def forward_simulate(
     increments,
     grid: TimeGrid,
     zfields_prev=None,
-    iteration: Optional[int] = None,
 ) -> PathBatch:
     """Forward Euler sweep driven by the previous iteration's fields.
 
@@ -146,7 +145,6 @@ def forward_simulate(
             bad = int(np.argwhere(~np.isfinite(x[:, i + 1]))[0][0])
             raise NumericalFailure(
                 f"non-finite state while stepping to node {i + 1}",
-                iteration=iteration,
                 step=i,
                 path=bad,
             )
@@ -168,13 +166,13 @@ def backward_pass(
     warm_fields,
     cfg: RegressionConfig,
     method: str = "differentiation",
-    iteration: Optional[int] = None,
 ):
     """Refit the per-step fields against freshly simulated paths.
 
     Sweeps ``i = N-1 .. 0``; the regression target at step ``i`` is the
     next node's value process: the terminal condition at the last step,
-    and below it the values the fit one step later returned.
+    and below it the values the fit one step later returned.  A fit's
+    :class:`NumericalFailure` leaves here with ``step=i``.
 
     Returns ``(fields, zfields)``: the value fields, and the gradient
     fields of the direct method (``None`` for differentiation).
@@ -190,21 +188,16 @@ def backward_pass(
                 warm_fields[i], cfg)
         try:
             if zfields is None:
-                fields[i], y_next = fit_step_differentiation(
-                    *args, h=grid.h, step=i
-                )
+                fields[i], y_next = fit_step_differentiation(*args, h=grid.h)
             else:
-                fields[i], zfields[i], y_next = fit_step_direct(
-                    *args, h=grid.h, step=i
-                )
+                fields[i], zfields[i], y_next = fit_step_direct(*args, h=grid.h)
         except NumericalFailure as exc:
-            exc.iteration = iteration
             exc.step = i
             raise
     return fields, zfields
 
 
-def _auto_box(problem, paths: PathBatch):
+def _auto_box(paths: PathBatch):
     """Quantile box of the first sweep's states, floored at half-width 3.
 
     The box is the 0.05%..99.95% quantile range of all states, widened to
@@ -235,9 +228,10 @@ def run_markovian_iteration(
     ``m > 1`` also gives the :class:`ErrorReport` of iteration ``m - 1``,
     which equals the final report of a run with ``num_iterations=m - 1``.
 
-    A :class:`NumericalFailure` carries ``iteration=m`` when it occurs in
-    sweep ``m`` or fit ``m``, and the fields of the iterations completed
-    before it as ``partial_fields``.
+    A :class:`NumericalFailure` in sweep ``m`` or fit ``m`` leaves this
+    loop labelled with ``iteration=m``, and with the fields of the
+    iterations completed before it as ``partial_fields``; the sweep and
+    :func:`backward_pass` label its ``step``.
     """
     grid = make_time_grid(problem.horizon, cfg.n_steps)
     if store is None:
@@ -273,31 +267,23 @@ def run_markovian_iteration(
 
     try:
         for m in range(1, cfg.num_iterations + 2):
-            paths = forward_simulate(
-                problem, fields, base_coarse, grid, zfields, iteration=m
-            )
+            paths = forward_simulate(problem, fields, base_coarse, grid, zfields)
             if per_iteration is not None and m > 1:
-                per_iteration.append(
-                    compute_errors(
-                        paths, reference_paths, grid,
-                        n_steps=cfg.n_steps, num_iterations=m - 1,
-                        num_paths=cfg.num_paths, method=cfg.method,
-                        seed=cfg.seed, fine_n=cfg.fine_n,
-                    )
-                )
+                per_iteration.append(compute_errors(paths, reference_paths, grid))
             if m > cfg.num_iterations:
                 break
             if box is None:
-                box = _auto_box(problem, paths)
+                box = _auto_box(paths)
                 fields = [zero_field(problem.dim_x, box[0], box[1])] * cfg.n_steps
             fields, zfields = backward_pass(
                 problem, paths, base_coarse, grid, fields, cfg.regression,
-                method=cfg.method, iteration=m,
+                method=cfg.method,
             )
             all_fields.append(fields)
             all_zfields.append(zfields)
             del paths  # freed before the next sweep is built
     except NumericalFailure as exc:
+        exc.iteration = m
         exc.partial_fields = all_fields
         raise
     return IterationResult(
@@ -309,8 +295,19 @@ def run_markovian_iteration(
 
 
 def write_checkpoint(result: IterationResult, path) -> None:
-    """Serialize every per-(iteration, step) field as one JSON line."""
+    """Serialize every per-(iteration, step) field as one JSON line.
+
+    The first line is the header record ``{"iterations": M, "steps": N,
+    "gradient_fields": bool}``; the value fields follow, then the gradient
+    fields of the direct method.
+    """
+    header = {
+        "iterations": len(result.fields),
+        "steps": len(result.fields[0]),
+        "gradient_fields": result.zfields is not None,
+    }
     with open(path, "w") as handle:
+        handle.write(json.dumps(header) + "\n")
         for iterations in (result.fields, result.zfields or []):
             for m, per_step in enumerate(iterations, start=1):
                 for i, fld in enumerate(per_step):
@@ -322,35 +319,45 @@ def write_checkpoint(result: IterationResult, path) -> None:
 def read_checkpoint(path):
     """Load a checkpoint back into ``(fields, zfields)`` nested lists.
 
-    ``zfields`` is ``None`` when the checkpoint holds no gradient fields.
-    A table that lacks an ``(iteration, time_index)`` up to the largest
-    of each it holds raises :class:`InvalidArgument` naming the first.
+    The file must start with :func:`write_checkpoint`'s header record.  The
+    value table, and the gradient table exactly when the header says there
+    is one, must hold every ``(iteration, time_index)`` in ``1..M x
+    0..N-1`` and nothing else; otherwise :class:`InvalidArgument` names
+    the missing header or the first missing or extra key.  ``zfields`` is
+    ``None`` when the checkpoint holds no gradient fields.
     """
-    fields = {}
-    zfields = {}
+    tables = {"value": {}, "gradient": {}}
     with open(path) as handle:
+        header = json.loads(handle.readline() or "{}")
+        if not isinstance(header, dict) or {
+            key: type(value) for key, value in header.items()
+        } != {"iterations": int, "steps": int, "gradient_fields": bool}:
+            raise InvalidArgument(f"checkpoint {path} lacks its header record")
         for line in handle:
             record = json.loads(line)
-            target = zfields if "dim_w" in record else fields
-            target[(record["iteration"], record["time_index"])] = (
+            table = tables["gradient" if "dim_w" in record else "value"]
+            table[(record["iteration"], record["time_index"])] = (
                 field_from_record(record)
             )
 
-    def to_nested(table, kind):
-        if not table:
-            return None
-        iterations = max(m for m, _ in table)
-        steps = max(i for _, i in table) + 1
-        for m in range(1, iterations + 1):
-            for i in range(steps):
-                if (m, i) not in table:
-                    raise InvalidArgument(
-                        f"checkpoint {path} has no {kind} field at "
-                        f"(iteration, time_index) = ({m}, {i})"
-                    )
+    iterations, steps = header["iterations"], header["steps"]
+    keys = [(m, i) for m in range(1, iterations + 1) for i in range(steps)]
+    expected = {"value": keys, "gradient": keys if header["gradient_fields"] else []}
+    for kind, table in tables.items():
+        missing = [key for key in expected[kind] if key not in table]
+        extra = sorted(set(table).difference(expected[kind]))
+        if missing or extra:
+            raise InvalidArgument(
+                f"checkpoint {path} has "
+                f"{'no' if missing else 'an extra'} {kind} field at "
+                f"(iteration, time_index) = {(missing + extra)[0]}"
+            )
+
+    def to_nested(table):
         return [
             [table[(m, i)] for i in range(steps)]
             for m in range(1, iterations + 1)
         ]
 
-    return to_nested(fields, "value"), to_nested(zfields, "gradient")
+    zfields = to_nested(tables["gradient"]) if header["gradient_fields"] else None
+    return to_nested(tables["value"]), zfields

@@ -158,6 +158,19 @@ class TestRun:
         assert code == 2
         assert "iteration 2" in err and "step 3" in err
 
+    def test_numerical_failure_names_only_the_labels_it_has(self, capsys,
+                                                            monkeypatch):
+        # a reference failure has a step and a path but no iteration
+        def explode(*args, **kwargs):
+            raise NumericalFailure("non-finite reference state", step=3, path=5)
+
+        monkeypatch.setattr(cli, "simulate_reference", explode)
+        code, _, err = run_cli(
+            capsys, ["run", "--problem", "constant", "--N", "2", "--M", "1"] + FAST
+        )
+        assert code == 2
+        assert "(step 3, path 5)" in err and "None" not in err
+
 
 class TestProblemFlags:
     @pytest.mark.parametrize(
@@ -185,9 +198,7 @@ class TestProblemFlags:
         store = sample_fine_increments(5, 400, 64, problem.dim_w, problem.horizon)
         result = run_markovian_iteration(problem, cfg, store=store)
         report = compute_errors(
-            result.final_paths, simulate_reference(problem, store, grid), grid,
-            n_steps=4, num_iterations=2, num_paths=400, method=cfg.method,
-            seed=5, fine_n=64,
+            result.final_paths, simulate_reference(problem, store, grid), grid
         )
         row = [cfg.method, problem.name, "4", "2", "400", "5", "64"] + [
             repr(v) for v in (report.err_x, report.err_y, report.err_z, report.total)
@@ -221,6 +232,17 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[-1].startswith("# rate_total,")
         assert [line.split(",")[2] for line in lines[1:4]] == ["2", "4", "8"]
+
+    def test_n_sweep_over_one_distinct_n_has_no_rate(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--sweep", "N", "--values", "4,4",
+             "--problem", "brownian-linear", "--M", "1"] + FAST,
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == ["4", "4"]
+        assert not any(line.startswith("#") for line in lines)
 
     def test_sweep_row_matches_single_run(self, capsys):
         base = ["--problem", "example2", "--M", "2"] + FAST

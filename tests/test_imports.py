@@ -1,9 +1,14 @@
-"""Every name a module imports is used by that module.
+"""Every name a module imports is used by that module, and every
+parameter of a package function is read by it.
 
 No linter ships with the project, so this scans the sources with ``ast``.
-Exempt are the package's ``__init__.py`` (its imports are re-exports),
-``from __future__`` imports, and names imported on a line marked
-``# noqa: F401``.
+Exempt from the import scan are the package's ``__init__.py`` (its imports
+are re-exports), ``from __future__`` imports, and names imported on a line
+marked ``# noqa: F401``.  The parameter scan covers the module-level
+functions of ``src/fbsdekit/*.py`` and the methods of their module-level
+classes, apart from ``self`` and ``cls``; nested functions are exempt, as
+they implement callback contracts such as a coefficient's ``b(t, x, y,
+z)``.
 """
 
 import ast
@@ -18,6 +23,7 @@ MODULES = [
     for path in sorted(REPO_ROOT.glob(pattern))
     if path.name != "__init__.py"
 ]
+PACKAGE = sorted(REPO_ROOT.glob("src/fbsdekit/*.py"))
 
 
 def unused_imports(source):
@@ -60,3 +66,67 @@ def test_scan_finds_an_unused_import_and_honours_the_exemptions():
         "print(os.path.sep, tau)\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 4: pi"]
+
+
+def unread_parameters(source):
+    """``function: parameter`` for each parameter of a module-level function,
+    or ``Class.method: parameter`` for a module-level class's method, that
+    the body never reads."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, defs)
+            ]
+    unread = []
+    for name, function in functions:
+        args = function.args
+        params = [
+            arg.arg
+            for arg in [*args.posonlyargs, *args.args, args.vararg,
+                        *args.kwonlyargs, args.kwarg]
+            if arg is not None
+        ]
+        read = {
+            node.id
+            for statement in function.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{name}: {param}"
+            for param in params
+            if param not in read and param not in ("self", "cls")
+        ]
+    return unread
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[str(p.relative_to(REPO_ROOT)) for p in PACKAGE]
+)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_scan_finds_an_unread_parameter_and_honours_the_exemptions():
+    source = (
+        "def f(a, b, *args, c=1, **kwargs):\n"
+        "    def callback(t, x):  # nested: exempt\n"
+        "        return a\n"
+        "    b = 2\n"
+        "    return callback, kwargs\n"
+        "class K:\n"
+        "    def m(self, used, unused):\n"
+        "        return used\n"
+        "    @classmethod\n"
+        "    def c(cls):\n"
+        "        return 0\n"
+    )
+    assert unread_parameters(source) == [
+        "f: b", "f: args", "f: c", "K.m: unused",
+    ]

@@ -275,12 +275,6 @@ class TestComputeErrors:
         with pytest.raises(InvalidArgument):
             compute_errors(small, ref, self.grid)
 
-    def test_provenance_passthrough(self):
-        ref = random_batch(self.rng)
-        report = compute_errors(ref, ref, self.grid, method="direct", n_steps=4)
-        assert report.method == "direct"
-        assert report.n_steps == 4
-
 
 class TestFitRate:
     def test_inverse_decay(self):
@@ -297,6 +291,11 @@ class TestFitRate:
     def test_needs_two_points(self):
         with pytest.raises(InvalidArgument):
             fit_rate([(2, 0.5)])
+
+    def test_needs_two_distinct_step_counts(self):
+        # one distinct n leaves the slope undetermined
+        with pytest.raises(InvalidArgument, match="distinct"):
+            fit_rate([(4, 0.1), (4, 0.1)])
 
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(InvalidArgument):

@@ -22,6 +22,7 @@ from fbsdekit.problems import (
     example2_problem,
 )
 from fbsdekit.reference import simulate_reference
+from fbsdekit.regression import RegressionConfig
 from fbsdekit.solver import (
     METHODS,
     SolverConfig,
@@ -244,6 +245,43 @@ class TestBackwardPass:
             assert np.max(np.abs(eval_u(fields[i], xs) - xs[:, 0])) <= tol
 
 
+    def test_diffusion_failure_at_the_first_fit_names_step_n_minus_1(self):
+        # NaN sigma matrices on the composed path fail the first fit
+        problem = decoupled_test_problem("brownian-linear")
+        n = 4
+        grid = make_time_grid(problem.horizon, n)
+        inc = coarsen_increments(
+            sample_fine_increments(8, 200, 16, 1, problem.horizon), n
+        )
+        paths = forward_simulate(problem, zero_fields(n), inc, grid)
+        bad = dataclasses.replace(
+            problem, sigma=lambda t, xs, y: np.full((xs.shape[0], 1, 1), np.nan)
+        )
+        with pytest.raises(NumericalFailure, match="diffusion") as err:
+            backward_pass(bad, paths, inc, grid, zero_fields(n), RegressionConfig())
+        assert err.value.step == n - 1
+
+    def test_diffusion_failure_names_the_step_of_the_bad_warm_field(self):
+        # example1's closed form, sigma = sigma_bar y I: the warm field of
+        # step k has non-finite values, and the fits above it succeed
+        problem = example1_problem()
+        n, k = 4, 1
+        grid = make_time_grid(problem.horizon, n)
+        inc = coarsen_increments(
+            sample_fine_increments(6, 300, 16, 4, problem.horizon), n
+        )
+        lo, hi = problem.x0 - 1.0, problem.x0 + 1.0
+        coeffs = 3.0 * np.eye(15)[0] + 0.3 * np.eye(15)[2]
+        warm = [QuadraticField(4, coeffs, lo, hi)] * n
+        paths = forward_simulate(problem, warm, inc, grid)
+        warm[k] = dataclasses.replace(warm[k], coeffs=np.full(15, np.inf))
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            NumericalFailure, match="diffusion"
+        ) as err:
+            backward_pass(problem, paths, inc, grid, warm, RegressionConfig())
+        assert err.value.step == k
+
+
 def test_auto_box_equals_the_quantiles_of_row_major_states():
     # the box's quantiles do not depend on the order the states are listed
     problem = example1_problem()
@@ -260,7 +298,7 @@ def test_auto_box_equals_the_quantiles_of_row_major_states():
     center = 0.5 * (q_lo + q_hi)
     half = np.maximum(0.55 * (q_hi - q_lo), 3.0)
     assert np.any(0.55 * (q_hi - q_lo) > 3.0)
-    box = solver._auto_box(problem, paths)
+    box = solver._auto_box(paths)
     assert np.array_equal(box[0], center - half)
     assert np.array_equal(box[1], center + half)
 
@@ -394,9 +432,9 @@ class TestRunMarkovianIteration:
         reference = simulate_reference(problem, store, grid) if with_reference else None
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("iteration"))
-            return forward_simulate(*args, **kwargs)
+        def counting(problem, fields, *args, **kwargs):
+            calls.append(fields)
+            return forward_simulate(problem, fields, *args, **kwargs)
 
         monkeypatch.setattr(solver, "forward_simulate", counting)
         cfg = SolverConfig(n_steps=4, num_iterations=3, num_paths=300, fine_n=16,
@@ -404,7 +442,7 @@ class TestRunMarkovianIteration:
         result = run_markovian_iteration(problem, cfg, store=store,
                                          reference_paths=reference)
         assert len(calls) == 4
-        assert calls[-1] == 4
+        assert calls[-1] is result.fields[-1]
         if with_reference:
             assert len(result.per_iteration_errors) == 3
 
@@ -463,10 +501,14 @@ class TestRunMarkovianIteration:
             read_checkpoint(path)
 
     @pytest.mark.parametrize("dropped, message", [
-        (lambda r: r["iteration"] == 1, r"no value field at .* = \(1, 0\)"),
-        (lambda r: "dim_w" in r and (r["iteration"], r["time_index"]) == (2, 1),
+        (lambda r: r.get("iteration") == 1, r"no value field at .* = \(1, 0\)"),
+        (lambda r: "dim_w" in r and (r.get("iteration"), r["time_index"]) == (2, 1),
          r"no gradient field at .* = \(2, 1\)"),
-    ], ids=["first-iteration", "middle-gradient-record"])
+        (lambda r: r.get("iteration") == 3, r"no value field at .* = \(3, 0\)"),
+        (lambda r: r.get("time_index") == 2, r"no value field at .* = \(1, 2\)"),
+        (lambda r: "iterations" in r, "lacks its header record"),
+    ], ids=["first-iteration", "middle-gradient-record", "last-iteration",
+            "last-step", "header"])
     def test_incomplete_checkpoint_rejected(self, tmp_path, dropped, message):
         from fbsdekit.solver import read_checkpoint, write_checkpoint
 
@@ -481,6 +523,47 @@ class TestRunMarkovianIteration:
         path.write_text("".join(json.dumps(r) + "\n" for r in kept))
         with pytest.raises(InvalidArgument, match=message):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ({"iterations": 2}, r"extra value field at .* = \(3, 0\)"),
+        ({"gradient_fields": False}, r"extra gradient field at .* = \(1, 0\)"),
+        ({"steps": "3"}, "lacks its header record"),
+    ], ids=["fewer-iterations", "no-gradient-fields", "malformed"])
+    def test_checkpoint_beyond_its_header_rejected(self, tmp_path, header, message):
+        from fbsdekit.solver import read_checkpoint, write_checkpoint
+
+        problem = example2_problem()
+        cfg = SolverConfig(n_steps=3, num_iterations=3, num_paths=200,
+                           fine_n=12, method="direct")
+        path = tmp_path / "fields.jsonl"
+        write_checkpoint(run_markovian_iteration(problem, cfg), path)
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(first), **header}) + "\n" + rest)
+        with pytest.raises(InvalidArgument, match=message):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_failure_names_iteration_and_step(self, monkeypatch, method):
+        # the fit raises unlabelled, in iteration 2 at step 1; the loops
+        # above it label the failure
+        name = f"fit_step_{method}"
+        fit = getattr(solver, name)
+        n, m, i = 4, 2, 1
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == (m - 1) * n + (n - i):  # steps run N-1 .. 0
+                raise NumericalFailure("non-finite values in regression inputs")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, failing)
+        cfg = SolverConfig(n_steps=n, num_iterations=3, num_paths=300, fine_n=16,
+                           method=method)
+        with pytest.raises(NumericalFailure) as err:
+            run_markovian_iteration(example2_problem(), cfg)
+        assert (err.value.iteration, err.value.step) == (m, i)
+        assert len(err.value.partial_fields) == m - 1
 
     def test_partial_fields_attached_on_failure(self):
         # blow up only once the fields are nonzero: forward sweep 2, which
