@@ -61,9 +61,9 @@ def paths_fastest(shape) -> np.ndarray:
     design rows.  Elementwise algebra over a ``(paths, d)`` slice then runs
     numpy's inner loop along the paths instead of along the short
     component axis.  Contractions whose rounding depends on the layout of
-    their operands (the feature products ``phi @ coeffs``, the Gram sums,
-    the fit's row dots and the path means of the error metrics) are given
-    C-order operands.  Results then equal those of C-order storage bit for
+    their operands (the feature products ``phi @ coeffs``, the fit's row
+    dots and the path means of the error metrics) are given C-order
+    operands.  Results then equal those of C-order storage bit for
     bit up to seven components; numpy sums a C-order row of eight or more
     pairwise.
     """

@@ -10,8 +10,8 @@ convergence conditions for a constants file.
 Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
 (wall-clock milliseconds are the only varying column).  ``FBSDE_THREADS``
-caps the linear-algebra thread pools (see the package docstring); results
-do not depend on it.
+caps the linear-algebra thread pools; results do not depend on it where
+numpy and scipy bundle their own OpenBLAS (see the package docstring).
 """
 
 from __future__ import annotations

@@ -33,18 +33,22 @@ a sum of two products, elementwise per path.  They are stored
 paths-fastest (:func:`fbsdekit.brownian.paths_fastest`), so the fit keeps
 a paths-fastest copy of ``phi`` to add to them (adding the C-order ``phi``
 into them strides through one operand); ``phi @ coeffs`` takes the
-C-order ``phi``.  Gram matrices are accumulated with ``numpy.einsum`` over
-fixed-size ordered path chunks, each taken in C order, and the joint loss's
-row dot takes C-order operands, so these sums add in the order they would
-with C-order storage.  Neither uses a BLAS reduction, so results are
-bit-identical no matter how many threads the BLAS carries.
+C-order ``phi``, and the joint loss's row dot takes C-order operands.
+The normal equations are formed and solved by BLAS and LAPACK on a
+paths-fastest design, with both bundled OpenBLAS pools pinned to one
+thread, so their bits do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_factor, cho_solve
 
 from .brownian import paths_fastest
@@ -67,7 +71,51 @@ __all__ = [
     "fit_step_direct",
 ]
 
-_CHUNK = 4096
+
+def _openblas_pool(package, pattern: str, suffix: str):
+    """``(get, set)`` of the thread count of the OpenBLAS that ``package``'s
+    wheel bundles in ``<site-packages>/<package>.libs``, or ``None`` where
+    the build has no such library, it is not loaded, or it lacks the
+    symbols.  Only an already loaded library is opened."""
+    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# numpy's and scipy's OpenBLAS, each with its own thread pool; numpy's
+# carries the Gram and right-hand side, scipy's the Cholesky factor and solve
+_BLAS_POOLS = {
+    "numpy": _openblas_pool(np, "libscipy_openblas64_*.so", "64_"),
+    "scipy": _openblas_pool(scipy, "libscipy_openblas*.so", ""),
+}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every pool of :data:`_BLAS_POOLS` at one thread,
+    then give each its previous count back.
+
+    A pool that was not found runs unpinned.  The counts are process-global,
+    so this must not be entered from worker threads.
+    """
+    pools = [pool for pool in _BLAS_POOLS.values() if pool is not None]
+    previous = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
 
 
 @dataclass(frozen=True)
@@ -90,32 +138,17 @@ class RegressionConfig:
             raise InvalidArgument("inner_iters must be at least 1")
 
 
-def _chunked_gram(design, targets, with_gram: bool):
-    """``(gram, rhs)`` of the normal equations, summed over ordered row
-    chunks; ``gram`` is ``None`` unless ``with_gram``.  Each chunk is taken
-    in C order, so the einsum sums add in one order whatever the design's
-    layout."""
-    n, p = design.shape
-    gram = np.zeros((p, p)) if with_gram else None
-    rhs = np.zeros(p)
-    for lo in range(0, n, _CHUNK):
-        block = np.ascontiguousarray(design[lo : lo + _CHUNK])
-        if with_gram:
-            gram += np.einsum("np,nq->pq", block, block, optimize=False)
-        rhs += np.einsum("np,n->p", block, targets[lo : lo + _CHUNK], optimize=False)
-    return gram, rhs
-
-
 class _NormalEquations:
     """The ridge-regularized normal equations of one design.
 
-    The design's finiteness check, its Gram matrix and the Cholesky factor
-    are made at the first :meth:`solve` and serve every later one; each
-    solve then forms its own right-hand side.
+    The design is held paths-fastest, whatever its given layout, as BLAS
+    rounds the two layouts differently.  Its finiteness check, its Gram
+    matrix and the Cholesky factor are made at the first :meth:`solve` and
+    serve every later one; each solve then forms its own right-hand side.
     """
 
     def __init__(self, design, ridge: float):
-        self.design = np.asarray(design, dtype=np.float64)
+        self.design = np.asfortranarray(design, dtype=np.float64)
         if self.design.ndim != 2:
             raise InvalidArgument(f"design {self.design.shape} is not a matrix")
         if ridge < 0.0:
@@ -136,20 +169,21 @@ class _NormalEquations:
             and np.all(np.isfinite(targets))
         ):
             raise NumericalFailure("non-finite values in regression inputs")
-        gram, rhs = _chunked_gram(design, targets, with_gram=first)
-        if first:
-            p = design.shape[1]
-            lam = self.ridge * np.trace(gram) / p
-            if lam > 0.0:
-                gram = gram + lam * np.eye(p)
-            try:
-                self._factor = cho_factor(gram, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyError(
-                    "normal equations are numerically singular; "
-                    "pass a positive ridge"
-                ) from exc
-        coeffs = cho_solve(self._factor, rhs)
+        with _one_blas_thread():
+            if first:
+                gram = design.T @ design
+                p = design.shape[1]
+                lam = self.ridge * np.trace(gram) / p
+                if lam > 0.0:
+                    gram = gram + lam * np.eye(p)
+                try:
+                    self._factor = cho_factor(gram, lower=True)
+                except np.linalg.LinAlgError as exc:
+                    raise RankDeficiencyError(
+                        "normal equations are numerically singular; "
+                        "pass a positive ridge"
+                    ) from exc
+            coeffs = cho_solve(self._factor, design.T @ targets)
         if not np.all(np.isfinite(coeffs)):
             raise RankDeficiencyError(
                 "normal equations produced non-finite coefficients; "

@@ -322,9 +322,10 @@ def read_checkpoint(path):
     The file must start with :func:`write_checkpoint`'s header record.  The
     value table, and the gradient table exactly when the header says there
     is one, must hold every ``(iteration, time_index)`` in ``1..M x
-    0..N-1`` and nothing else; otherwise :class:`InvalidArgument` names
-    the missing header or the first missing or extra key.  ``zfields`` is
-    ``None`` when the checkpoint holds no gradient fields.
+    0..N-1`` once and nothing else; otherwise :class:`InvalidArgument`
+    names the missing header, the first duplicated key, or the first missing
+    or extra key.  ``zfields`` is ``None`` when the checkpoint holds no
+    gradient fields.
     """
     tables = {"value": {}, "gradient": {}}
     with open(path) as handle:
@@ -335,10 +336,14 @@ def read_checkpoint(path):
             raise InvalidArgument(f"checkpoint {path} lacks its header record")
         for line in handle:
             record = json.loads(line)
-            table = tables["gradient" if "dim_w" in record else "value"]
-            table[(record["iteration"], record["time_index"])] = (
-                field_from_record(record)
-            )
+            kind = "gradient" if "dim_w" in record else "value"
+            key = (record["iteration"], record["time_index"])
+            if key in tables[kind]:
+                raise InvalidArgument(
+                    f"checkpoint {path} has a duplicate {kind} field at "
+                    f"(iteration, time_index) = {key}"
+                )
+            tables[kind][key] = field_from_record(record)
 
     iterations, steps = header["iterations"], header["steps"]
     keys = [(m, i) for m in range(1, iterations + 1) for i in range(steps)]

@@ -393,14 +393,21 @@ class TestDiagnose:
 
 class TestThreadIndependence:
     def test_rows_identical_across_thread_caps(self, run_child):
-        args = [
-            "-m", "fbsdekit.cli", "run",
-            "--problem", "example2", "--N", "4", "--M", "2",
-            "--paths", "500", "--fine-n", "64", "--seed", "5",
+        # the second run fits 136 features, a basis whose Cholesky factor
+        # OpenBLAS would split across threads
+        runs = [
+            ["--problem", "example2", "--N", "4", "--M", "2",
+             "--paths", "500", "--fine-n", "64", "--seed", "5"],
+            ["--problem", "example1", "--dim", "15", "--N", "2", "--M", "2",
+             "--paths", "3000", "--fine-n", "4", "--seed", "7"],
         ]
-        outputs = [strip_wall(run_child(args, threads).stdout)
-                   for threads in ("1", "4")]
-        assert outputs[0] == outputs[1]
+        for run in runs:
+            outputs = [
+                strip_wall(run_child(["-m", "fbsdekit.cli", "run", *run],
+                                     threads).stdout)
+                for threads in ("1", "4")
+            ]
+            assert outputs[0] == outputs[1], run
 
     CAPS_PROBE = (
         "import json, os, fbsdekit.cli; "

@@ -6,7 +6,9 @@ import logging
 import numpy as np
 import pytest
 from oracles import grad_features
+from scipy.linalg import cho_factor
 
+from fbsdekit import regression
 from fbsdekit.brownian import coarsen_increments, sample_fine_increments
 from fbsdekit.errors import (
     InvalidArgument,
@@ -79,7 +81,7 @@ class TestSolveLinearLsq:
         assert np.all(np.isfinite(c))
 
     def test_same_bits_for_either_design_layout(self):
-        # the Gram and right-hand-side sums take C-order chunks
+        # the normal equations take the design paths-fastest, whatever its layout
         rng = np.random.default_rng(4)
         a = rng.normal(size=(9000, 15))
         y = rng.normal(size=9000)
@@ -97,6 +99,54 @@ class TestSolveLinearLsq:
         y = np.array([1.0, np.nan, 0.0, 2.0])
         with pytest.raises(NumericalFailure):
             solve_linear_lsq(a, y)
+
+
+class TestOneBlasThread:
+    """Each solve runs both bundled OpenBLAS pools at one thread and gives
+    back the counts it found."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        missing = [name for name, pool in regression._BLAS_POOLS.items()
+                   if pool is None]
+        if missing:
+            pytest.skip(f"no OpenBLAS thread-count symbols for {missing} in this build")
+        before = self.counts()
+        for _, set_ in regression._BLAS_POOLS.values():
+            set_(2)  # a count the pin has to change and give back
+        yield
+        for (_, set_), count in zip(regression._BLAS_POOLS.values(),
+                                    before.values()):
+            set_(count)
+
+    @staticmethod
+    def counts():
+        return {name: get() for name, (get, _) in regression._BLAS_POOLS.items()}
+
+    @pytest.fixture
+    def inside(self, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(self.counts())
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "cho_factor", recording)
+        return seen
+
+    def test_pins_the_solve_and_restores_the_counts(self, inside):
+        rng = np.random.default_rng(5)
+        before = self.counts()
+        solve_linear_lsq(rng.normal(size=(300, 4)), rng.normal(size=300))
+        assert inside == [{"numpy": 1, "scipy": 1}]
+        assert self.counts() == before
+
+    def test_restores_the_counts_when_the_solve_raises(self, inside):
+        before = self.counts()
+        with pytest.raises(RankDeficiencyError):
+            solve_linear_lsq(np.ones((30, 3)), np.linspace(0.0, 1.0, 30), 0.0)
+        assert inside == [{"numpy": 1, "scipy": 1}]
+        assert self.counts() == before
 
 
 def linear_target_batch(rng, n=400, a=0.7, b=-1.3):

@@ -542,6 +542,30 @@ class TestRunMarkovianIteration:
         with pytest.raises(InvalidArgument, match=message):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["value", "gradient"])
+    def test_duplicate_checkpoint_record_rejected(self, tmp_path, kind):
+        # a second (1, 0) record must not overwrite the first one silently
+        from fbsdekit.solver import read_checkpoint, write_checkpoint
+
+        problem = example2_problem()
+        cfg = SolverConfig(n_steps=3, num_iterations=2, num_paths=200,
+                           fine_n=12, method="direct")
+        path = tmp_path / "fields.jsonl"
+        write_checkpoint(run_markovian_iteration(problem, cfg), path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        duplicate = next(
+            r for r in records[1:]
+            if ("dim_w" in r) == (kind == "gradient")
+            and (r["iteration"], r["time_index"]) == (1, 0)
+        )
+        duplicate = {**duplicate,
+                     "coeffs": np.full_like(duplicate["coeffs"], 9.0).tolist()}
+        with open(path, "a") as handle:
+            handle.write(json.dumps(duplicate) + "\n")
+        with pytest.raises(InvalidArgument,
+                           match=rf"duplicate {kind} field at .* = \(1, 0\)"):
+            read_checkpoint(path)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_fit_failure_names_iteration_and_step(self, monkeypatch, method):
         # the fit raises unlabelled, in iteration 2 at step 1; the loops

@@ -10,6 +10,9 @@ The first form runs, in this process and against the ``fbsdekit`` found on
   ``perfbench/workloads.py`` builds them, at seeds 7 and 3;
 - ``fbsde run`` on example1 with the direct method (N 8, M 5, 2000 paths,
   fine_n 1024, seed 3);
+- ``fbsde run`` on example1 at ``--dim 15`` (136 features; N 2, M 2, 3000
+  paths, fine_n 4, seed 7), a basis large enough that an unpinned Cholesky
+  factor would split across OpenBLAS threads;
 - ``run_markovian_iteration`` for both methods on example1 and example2
   (N 8, M 3, 3000 paths, fine_n 256, seed 7): its ``write_checkpoint``
   file and its final paths;
@@ -20,13 +23,16 @@ The first form runs, in this process and against the ``fbsdekit`` found on
 A command's standard output (without its wall-clock column), its standard
 error and its exit code are separate entries.  OUT.json holds the sha256
 of every entry, with the Python, numpy and scipy versions, the
-``FBSDE_THREADS`` setting and a digest of the package's sources.  Point
+``FBSDE_THREADS`` setting, a digest of the package's sources and
+``blas_pins``: whether the package found the thread-count symbols of
+numpy's and of scipy's bundled OpenBLAS, which it pins to one thread
+around each least-squares solve.  Point
 ``PYTHONPATH`` at another checkout's ``src`` to make its manifest with the
 same commands.
 
 ``--compare`` prints the names of the entries whose hashes differ, or that
 only one manifest has, and exits 1 if there are any.  A manifest takes
-about 7 s on a 2-vCPU machine with ``FBSDE_THREADS=1``; the check is not
+about 6 s on a 2-vCPU machine with ``FBSDE_THREADS=1``; the check is not
 part of the test suite.
 """
 
@@ -54,6 +60,8 @@ DIRECT_RUN = ["run", "--problem", "example1", "--method", "direct", "--N", "8",
               "--M", "5", "--paths", "2000", "--fine-n", "1024", "--seed", "3"]
 CHECKPOINT_RUN = {"n_steps": 8, "num_iterations": 3, "num_paths": 3000,
                   "fine_n": 256}
+LARGE_BASIS_RUN = ["run", "--problem", "example1", "--dim", "15", "--N", "2",
+                   "--M", "2", "--paths", "3000", "--fine-n", "4", "--seed", "7"]
 WEAK_EXAMPLE1 = {"kappa_y": 0.01, "kappa_z": 0.01, "sigma_bar": 0.2, "dim": 1}
 
 
@@ -133,6 +141,9 @@ def manifest_entries(workdir):
     entries.update(command_entries(
         "run example1 direct seed=3", *run_command(cli, DIRECT_RUN)
     ))
+    entries.update(command_entries(
+        "run example1 dim=15 seed=7", *run_command(cli, LARGE_BASIS_RUN)
+    ))
     for problem in (example1_problem(), example2_problem()):
         for method in METHODS:
             result = run_markovian_iteration(
@@ -156,7 +167,9 @@ def provenance():
     import scipy
 
     import fbsdekit
+    import fbsdekit.regression
 
+    pools = getattr(fbsdekit.regression, "_BLAS_POOLS", {})
     package = Path(fbsdekit.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(package.rglob("*.py")):
@@ -168,6 +181,8 @@ def provenance():
         "scipy": scipy.__version__,
         "FBSDE_THREADS": os.environ.get("FBSDE_THREADS"),
         "fbsdekit_sources": digest.hexdigest(),
+        "blas_pins": {name: pools.get(name) is not None
+                      for name in ("numpy", "scipy")},
     }
 
 
