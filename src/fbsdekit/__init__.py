@@ -13,10 +13,10 @@ included, plus the ``fbsde`` experiment CLI.
 
 ``FBSDE_THREADS``, when set, caps the OpenMP/BLAS thread pools.  The caps
 are assigned here, before anything imports numpy, and override inherited
-values.  Results do not depend on them where numpy and scipy bundle their
-own OpenBLAS (their Linux wheels from PyPI), whose pools the least-squares
-solves pin to one thread; with another BLAS they are reproducible per
-thread count.
+values.  Results do not depend on them where numpy bundles its own
+OpenBLAS (its Linux wheels from PyPI), whose pool the least-squares solves
+pin to one thread; with another BLAS they are reproducible per thread
+count.
 """
 
 import os

@@ -11,7 +11,7 @@ Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
 (wall-clock milliseconds are the only varying column).  ``FBSDE_THREADS``
 caps the linear-algebra thread pools; results do not depend on it where
-numpy and scipy bundle their own OpenBLAS (see the package docstring).
+numpy bundles its own OpenBLAS (see the package docstring).
 """
 
 from __future__ import annotations

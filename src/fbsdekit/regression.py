@@ -34,8 +34,8 @@ paths-fastest (:func:`fbsdekit.brownian.paths_fastest`), so the fit keeps
 a paths-fastest copy of ``phi`` to add to them (adding the C-order ``phi``
 into them strides through one operand); ``phi @ coeffs`` takes the
 C-order ``phi``, and the joint loss's row dot takes C-order operands.
-The normal equations are formed and solved by BLAS and LAPACK on a
-paths-fastest design, with both bundled OpenBLAS pools pinned to one
+The normal equations are formed and solved by numpy's BLAS and LAPACK on
+a paths-fastest design, with numpy's bundled OpenBLAS pool pinned to one
 thread, so their bits do not depend on the thread count.
 """
 
@@ -48,8 +48,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg import cho_factor, cho_solve
 
 from .brownian import paths_fastest
 from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
@@ -72,17 +70,17 @@ __all__ = [
 ]
 
 
-def _openblas_pool(package, pattern: str, suffix: str):
-    """``(get, set)`` of the thread count of the OpenBLAS that ``package``'s
-    wheel bundles in ``<site-packages>/<package>.libs``, or ``None`` where
-    the build has no such library, it is not loaded, or it lacks the
-    symbols.  Only an already loaded library is opened."""
-    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-    for path in sorted(libs.glob(pattern)):
+def _openblas_pool():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's
+    wheel bundles in ``<site-packages>/numpy.libs``, or ``None`` where the
+    build has no such library, it is not loaded, or it lacks the symbols.
+    Only an already loaded library is opened."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -91,12 +89,9 @@ def _openblas_pool(package, pattern: str, suffix: str):
     return None
 
 
-# numpy's and scipy's OpenBLAS, each with its own thread pool; numpy's
-# carries the Gram and right-hand side, scipy's the Cholesky factor and solve
-_BLAS_POOLS = {
-    "numpy": _openblas_pool(np, "libscipy_openblas64_*.so", "64_"),
-    "scipy": _openblas_pool(scipy, "libscipy_openblas*.so", ""),
-}
+# numpy's OpenBLAS and its thread pool, which carries the Gram, the
+# right-hand side, the Cholesky factor and the triangular solves
+_BLAS_POOLS = {"numpy": _openblas_pool()}
 
 
 @contextlib.contextmanager
@@ -143,8 +138,9 @@ class _NormalEquations:
 
     The design is held paths-fastest, whatever its given layout, as BLAS
     rounds the two layouts differently.  Its finiteness check, its Gram
-    matrix and the Cholesky factor are made at the first :meth:`solve` and
-    serve every later one; each solve then forms its own right-hand side.
+    matrix and the lower Cholesky factor ``L`` are made at the first
+    :meth:`solve` and serve every later one; each solve then forms its own
+    right-hand side and solves with ``L`` and ``L^T`` in turn.
     """
 
     def __init__(self, design, ridge: float):
@@ -177,13 +173,16 @@ class _NormalEquations:
                 if lam > 0.0:
                     gram = gram + lam * np.eye(p)
                 try:
-                    self._factor = cho_factor(gram, lower=True)
+                    self._factor = np.linalg.cholesky(gram)
                 except np.linalg.LinAlgError as exc:
                     raise RankDeficiencyError(
                         "normal equations are numerically singular; "
                         "pass a positive ridge"
                     ) from exc
-            coeffs = cho_solve(self._factor, design.T @ targets)
+            lower = self._factor
+            coeffs = np.linalg.solve(
+                lower.T, np.linalg.solve(lower, design.T @ targets)
+            )
         if not np.all(np.isfinite(coeffs)):
             raise RankDeficiencyError(
                 "normal equations produced non-finite coefficients; "

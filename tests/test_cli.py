@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fbsdekit import cli
+from fbsdekit import cli, regression
 from fbsdekit.brownian import make_time_grid, sample_fine_increments
 from fbsdekit.errors import NumericalFailure
 from fbsdekit.problems import decoupled_test_problem, example1_problem
@@ -391,7 +391,30 @@ class TestDiagnose:
         assert code == 1
 
 
+class TestNoScipy:
+    def test_cli_commands_do_not_import_scipy(self, run_child):
+        # the package needs numpy alone; scipy is a test dependency
+        probe = (
+            "import sys\n"
+            "from fbsdekit import cli\n"
+            "assert cli.main(['run', '--problem', 'example2', '--N', '4',\n"
+            "                 '--M', '2', '--paths', '200', '--fine-n', '16']) == 0\n"
+            "assert cli.main(['diagnose', '--constants',\n"
+            "                 'demos/constants_weak_coupling.txt']) == 0\n"
+            "print('scipy' in sys.modules)"
+        )
+        assert run_child(["-c", probe], "1").stdout.splitlines()[-1] == "False"
+
+
 class TestThreadIndependence:
+    # numpy's OpenBLAS pool size after import; OpenBLAS caps it at the cores
+    POOL_PROBE = (
+        "import sys; from fbsdekit import cli, regression; "
+        "pool = regression._BLAS_POOLS['numpy']; "
+        "print(pool[0]() if pool else 0, file=sys.stderr); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+
     def test_rows_identical_across_thread_caps(self, run_child):
         # the second run fits 136 features, a basis whose Cholesky factor
         # OpenBLAS would split across threads
@@ -402,12 +425,15 @@ class TestThreadIndependence:
              "--paths", "3000", "--fine-n", "4", "--seed", "7"],
         ]
         for run in runs:
-            outputs = [
-                strip_wall(run_child(["-m", "fbsdekit.cli", "run", *run],
-                                     threads).stdout)
-                for threads in ("1", "4")
-            ]
-            assert outputs[0] == outputs[1], run
+            outputs, pools = [], []
+            for threads in ("1", "4"):
+                child = run_child(["-c", self.POOL_PROBE, "run", *run], threads)
+                outputs.append(strip_wall(child.stdout))
+                pools.append(int(child.stderr.split()[0]))
+            compared = f"{pools[0]} against {pools[1]} threads"
+            if (os.cpu_count() or 1) >= 2 and regression._BLAS_POOLS["numpy"]:
+                assert pools[1] > 1, f"FBSDE_THREADS=4 ran {compared}"
+            assert outputs[0] == outputs[1], f"{run}: {compared}"
 
     CAPS_PROBE = (
         "import json, os, fbsdekit.cli; "

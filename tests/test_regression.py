@@ -6,7 +6,6 @@ import logging
 import numpy as np
 import pytest
 from oracles import grad_features
-from scipy.linalg import cho_factor
 
 from fbsdekit import regression
 from fbsdekit.brownian import coarsen_increments, sample_fine_increments
@@ -102,15 +101,13 @@ class TestSolveLinearLsq:
 
 
 class TestOneBlasThread:
-    """Each solve runs both bundled OpenBLAS pools at one thread and gives
-    back the counts it found."""
+    """Each solve runs numpy's bundled OpenBLAS pool at one thread and gives
+    back the count it found."""
 
     @pytest.fixture(autouse=True)
     def two_threads(self):
-        missing = [name for name, pool in regression._BLAS_POOLS.items()
-                   if pool is None]
-        if missing:
-            pytest.skip(f"no OpenBLAS thread-count symbols for {missing} in this build")
+        if regression._BLAS_POOLS["numpy"] is None:
+            pytest.skip("no OpenBLAS thread-count symbols for numpy in this build")
         before = self.counts()
         for _, set_ in regression._BLAS_POOLS.values():
             set_(2)  # a count the pin has to change and give back
@@ -126,26 +123,28 @@ class TestOneBlasThread:
     @pytest.fixture
     def inside(self, monkeypatch):
         seen = []
+        cholesky = np.linalg.cholesky
 
         def recording(*args, **kwargs):
             seen.append(self.counts())
-            return cho_factor(*args, **kwargs)
+            return cholesky(*args, **kwargs)
 
-        monkeypatch.setattr(regression, "cho_factor", recording)
+        # the factorization as ``regression`` sees it
+        monkeypatch.setattr(regression.np.linalg, "cholesky", recording)
         return seen
 
     def test_pins_the_solve_and_restores_the_counts(self, inside):
         rng = np.random.default_rng(5)
         before = self.counts()
         solve_linear_lsq(rng.normal(size=(300, 4)), rng.normal(size=300))
-        assert inside == [{"numpy": 1, "scipy": 1}]
+        assert inside == [{"numpy": 1}]
         assert self.counts() == before
 
     def test_restores_the_counts_when_the_solve_raises(self, inside):
         before = self.counts()
         with pytest.raises(RankDeficiencyError):
             solve_linear_lsq(np.ones((30, 3)), np.linspace(0.0, 1.0, 30), 0.0)
-        assert inside == [{"numpy": 1, "scipy": 1}]
+        assert inside == [{"numpy": 1}]
         assert self.counts() == before
 
 

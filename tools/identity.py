@@ -22,13 +22,12 @@ The first form runs, in this process and against the ``fbsdekit`` found on
 
 A command's standard output (without its wall-clock column), its standard
 error and its exit code are separate entries.  OUT.json holds the sha256
-of every entry, with the Python, numpy and scipy versions, the
-``FBSDE_THREADS`` setting, a digest of the package's sources and
-``blas_pins``: whether the package found the thread-count symbols of
-numpy's and of scipy's bundled OpenBLAS, which it pins to one thread
-around each least-squares solve.  Point
-``PYTHONPATH`` at another checkout's ``src`` to make its manifest with the
-same commands.
+of every entry, with the Python and numpy versions (and scipy's, where it
+imports), the ``FBSDE_THREADS`` setting, a digest of the package's sources
+and ``blas_pins``: whether the package found the thread-count symbols of
+numpy's bundled OpenBLAS, which it pins to one thread around each
+least-squares solve.  Point ``PYTHONPATH`` at another checkout's ``src``
+to make its manifest with the same commands.
 
 ``--compare`` prints the names of the entries whose hashes differ, or that
 only one manifest has, and exits 1 if there are any.  A manifest takes
@@ -164,7 +163,6 @@ def manifest_entries(workdir):
 
 def provenance():
     import numpy
-    import scipy
 
     import fbsdekit
     import fbsdekit.regression
@@ -175,15 +173,18 @@ def provenance():
     for path in sorted(package.rglob("*.py")):
         digest.update(str(path.relative_to(package)).encode())
         digest.update(path.read_bytes())
-    return {
+    info = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "FBSDE_THREADS": os.environ.get("FBSDE_THREADS"),
         "fbsdekit_sources": digest.hexdigest(),
-        "blas_pins": {name: pools.get(name) is not None
-                      for name in ("numpy", "scipy")},
+        "blas_pins": {"numpy": pools.get("numpy") is not None},
     }
+    with contextlib.suppress(ImportError):
+        import scipy
+
+        info["scipy"] = scipy.__version__
+    return info
 
 
 def write_manifest(out):
