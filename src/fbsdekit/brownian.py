@@ -11,10 +11,11 @@ generated on its own, in any order, with bit-identical results.  Each
 step's draw is filled in C order, so the paths of a store are a prefix of
 the paths of any larger store with the same seed; it is drawn into one
 reused ``(num_paths, dim_w)`` buffer and copied into the window, which is
-stored paths-fastest (see :func:`paths_fastest`).  Readers that stream the
-whole grid take windows of at most ``_STREAM_VALUES`` values, so a window
-bounds the transient memory.  numpy does not promise ``Generator`` streams
-across releases; a known-answer test pins the values this store draws.
+stored paths-fastest (see :func:`paths_fastest`).  The reference and the
+coarsening walk the grid in windows of at most ``_STREAM_VALUES`` values,
+which bound the transient memory; the walk caches the coarse sums it
+forms.  numpy does not promise ``Generator`` streams across releases; a
+known-answer test pins the values this store draws.
 
 Each increment is rounded to the nearest multiple of ``2**-40``.  The
 rounding perturbs an increment by at most ``~5e-13`` (many orders below
@@ -28,6 +29,7 @@ coarsens consistently.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,19 +148,30 @@ class BrownianStore:
         out *= _QUANTUM
         return out
 
-    def _windows(self, lo: int, hi: int):
-        """Yield ``(k0, fine_increments(k0, k1))`` over ``[lo, hi)``.
-
-        Windows hold at most ``_STREAM_VALUES`` values (at least one step).
-        A caller drops each window before taking the next, or two windows
-        are alive while the next is drawn.
+    def _walk(self, n: int):
+        """Yield ``(i, k0, window)`` over the stream windows of each coarse
+        step ``i`` of the ``n``-step grid: ``window = fine_increments(k0,
+        k1)`` holds at most ``_STREAM_VALUES`` values (at least one step).
+        Their sums form the coarse increments, cached when the walk ends.
+        A consumer drops each window before it asks for the next, or two
+        are alive while the next is drawn.  ``n`` is positive.
         """
+        if self.fine_n % n != 0:
+            raise InvalidArgument(f"fine_n={self.fine_n} is not divisible by n={n}")
+        span = self.fine_n // n
         sub = max(1, _STREAM_VALUES // (self.num_paths * self.dim_w))
-        for k0 in range(lo, hi, sub):
-            yield k0, self.fine_increments(k0, min(k0 + sub, hi))
+        coarse = paths_fastest((self.num_paths, n, self.dim_w))
+        coarse.fill(0.0)
+        for i in range(n):
+            for k0 in range(i * span, (i + 1) * span, sub):
+                window = self.fine_increments(k0, min(k0 + sub, (i + 1) * span))
+                coarse[:, i, :] += window.sum(axis=1)
+                yield i, k0, window
+                del window  # freed before the next window is drawn
+        self._note_coarse(n, coarse)
 
     def _note_coarse(self, n: int, increments: np.ndarray) -> None:
-        """Cache window sums so later coarsenings can be derived exactly.
+        """Cache coarse increments so later coarsenings can be derived exactly.
 
         Cached arrays are frozen: they are handed out by reference.
         """
@@ -201,26 +214,19 @@ def coarsen_increments(store: BrownianStore, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise InvalidArgument(f"coarse step count must be positive, got {n}")
-    if store.fine_n % n != 0:
-        raise InvalidArgument(f"fine_n={store.fine_n} is not divisible by n={n}")
     cached = store._coarse_cache.get(n)
     if cached is not None:
         return cached
-    out = paths_fastest((store.num_paths, n, store.dim_w))
     for m in sorted(store._coarse_cache, reverse=True):
         if m % n == 0:
+            out = paths_fastest((store.num_paths, n, store.dim_w))
             arr = store._coarse_cache[m]
             arr.reshape(store.num_paths, n, m // n, store.dim_w).sum(axis=2, out=out)
             store._note_coarse(n, out)
             return out
-    window = store.fine_n // n
-    out.fill(0.0)
-    for i in range(n):
-        for _, chunk in store._windows(i * window, (i + 1) * window):
-            out[:, i, :] += chunk.sum(axis=1)
-            del chunk  # freed before the next window is drawn
-    store._note_coarse(n, out)
-    return out
+    # the walk caches the coarse sums; the deque drops each window unheld
+    collections.deque(store._walk(n), maxlen=0)
+    return store._coarse_cache[n]
 
 
 @dataclass

@@ -20,7 +20,6 @@ import argparse
 import functools
 import inspect
 import json
-import os
 import sys
 import time
 
@@ -197,32 +196,27 @@ def _format_row(problem_name, cfg, report, wall_ms) -> str:
     )
 
 
-class _CsvSink:
-    """Writes rows to stdout and optionally appends them to a file."""
-
-    def __init__(self, path):
-        self._path = path
-        self._lines = [CSV_HEADER]
-        print(CSV_HEADER)
-
-    def emit(self, line):
-        self._lines.append(line)
-        print(line)
-
-    def close(self):
-        if self._path:
-            fresh = not os.path.exists(self._path) or os.path.getsize(self._path) == 0
-            with open(self._path, "a") as handle:
-                lines = self._lines if fresh else self._lines[1:]
-                for line in lines:
-                    handle.write(line + "\n")
+def _emit(line, path):
+    """Print a CSV line and append it to ``path`` when given, after the
+    header when the file is new or empty."""
+    print(line)
+    if path:
+        with open(path, "a") as handle:
+            if handle.tell() == 0:  # opened at its end: the file is empty
+                handle.write(CSV_HEADER + "\n")
+            handle.write(line + "\n")
 
 
 def _sweep(options, sweep, values) -> int:
     """One CSV row per value of N or M, from one Brownian store.
 
     When the N values form a divisor chain, one reference at the largest
-    N is strided to each coarser grid; otherwise each N gets its own.
+    N is strided to each coarser grid; otherwise each N gets its own.  One
+    reference at the lcm of the values would give the same rows, but its
+    nodes can far outnumber the largest N: N = 31 and 32 need 992, and
+    N = 5 and 4096 at fine_n 20480 need all 20480.  Each row is appended
+    to ``--out`` as it is made, so a failing value keeps the rows before
+    it.
     """
     problem = _build_problem(options)
     n_values = values if sweep == "N" else [options["N"]]
@@ -248,7 +242,7 @@ def _sweep(options, sweep, values) -> int:
             for n in sorted(grids, reverse=True)
         }
 
-    sink = _CsvSink(options["out"])
+    print(CSV_HEADER)
     totals = []
     for v in values:
         n = v if sweep == "N" else options["N"]
@@ -260,10 +254,9 @@ def _sweep(options, sweep, values) -> int:
         del result  # freed before the next run is built
         wall_ms = (time.perf_counter() - start) * 1000.0
         totals.append((v, report.total))
-        sink.emit(_format_row(options["problem"], cfg, report, wall_ms))
+        _emit(_format_row(options["problem"], cfg, report, wall_ms), options["out"])
     if sweep == "N" and len(grids) >= 2:
-        sink.emit(f"# rate_total,{repr(fit_rate(totals))}")
-    sink.close()
+        _emit(f"# rate_total,{repr(fit_rate(totals))}", options["out"])
     return 0
 
 

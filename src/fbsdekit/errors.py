@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class FBSDEError(Exception):
     """Base class for all fbsdekit errors."""
@@ -29,3 +31,15 @@ class NumericalFailure(FBSDEError):
 
 class UnsupportedProblem(FBSDEError):
     """The problem lacks data required by the requested operation."""
+
+
+def _check_state(state, step, what="state"):
+    """Raise :class:`NumericalFailure` labelled with ``step`` and the first
+    bad path if the state reached at node ``step + 1`` is non-finite."""
+    if not np.all(np.isfinite(state)):
+        bad = int(np.argwhere(~np.isfinite(state))[0][0])
+        raise NumericalFailure(
+            f"non-finite {what} while stepping to node {step + 1}",
+            step=step,
+            path=bad,
+        )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import BrownianStore, PathBatch, TimeGrid, paths_fastest
-from .errors import InvalidArgument, NumericalFailure, UnsupportedProblem
+from .errors import InvalidArgument, UnsupportedProblem, _check_state
 
 __all__ = ["ErrorReport", "simulate_reference", "compute_errors", "fit_rate"]
 
@@ -43,47 +43,34 @@ def simulate_reference(
     state raises :class:`NumericalFailure` at the first coarse node it
     reaches, with that coarse ``step`` and the first bad ``path``.
 
-    Streams the fine increments window by window; as a side effect the
-    window sums are deposited in the store's coarse cache, so a following
+    Steps through the store's walk of ``grid``; as the walk's side effect
+    the store caches the grid's coarse increments, so a following
     ``coarsen_increments(store, grid.n)`` costs nothing extra.
     """
     if not problem.has_analytic_solution:
         raise UnsupportedProblem(
             f"problem {problem.name!r} has no analytic decoupling fields"
         )
-    if store.fine_n % grid.n != 0:
-        raise InvalidArgument(
-            f"fine_n={store.fine_n} is not divisible by n={grid.n}"
-        )
     if abs(store.horizon - grid.horizon) > 1e-12 * max(1.0, grid.horizon):
         raise InvalidArgument("store and grid disagree on the horizon")
     num_paths, dim, dim_w = store.num_paths, problem.dim_x, problem.dim_w
-    window = store.fine_n // grid.n
+    span = store.fine_n // grid.n
     h_fine = store.horizon / store.fine_n
 
     x_nodes = paths_fastest((num_paths, grid.n + 1, dim))
     state = paths_fastest((num_paths, dim))
     state[...] = problem.x0
     x_nodes[:, 0] = state
-    coarse = paths_fastest((num_paths, grid.n, dim_w))
-    coarse.fill(0.0)
-    for i in range(grid.n):
-        for k0, chunk in store._windows(i * window, (i + 1) * window):
-            coarse[:, i, :] += chunk.sum(axis=1)
-            for k in range(k0, k0 + chunk.shape[1]):
-                state = problem.reference_step(
-                    k * h_fine, state, chunk[:, k - k0, :], h_fine
-                )
-            del chunk  # freed before the next window is drawn
-        if not np.all(np.isfinite(state)):
-            bad = int(np.argwhere(~np.isfinite(state))[0][0])
-            raise NumericalFailure(
-                f"non-finite reference state while stepping to node {i + 1}",
-                step=i,
-                path=bad,
+    for i, k0, window in store._walk(grid.n):
+        k1 = k0 + window.shape[1]
+        for k in range(k0, k1):
+            state = problem.reference_step(
+                k * h_fine, state, window[:, k - k0, :], h_fine
             )
-        x_nodes[:, i + 1] = state
-    store._note_coarse(grid.n, coarse)
+        del window  # freed before the next window is drawn
+        if k1 == (i + 1) * span:  # coarse step i is done
+            _check_state(state, i, "reference state")
+            x_nodes[:, i + 1] = state
 
     y_nodes = paths_fastest((num_paths, grid.n + 1))
     z_nodes = paths_fastest((num_paths, grid.n + 1, dim_w))

@@ -40,7 +40,7 @@ from .brownian import (
     paths_fastest,
     sample_fine_increments,
 )
-from .errors import InvalidArgument, NumericalFailure
+from .errors import InvalidArgument, NumericalFailure, _check_state
 from .fields import (
     eval_u,
     field_from_record,
@@ -141,13 +141,7 @@ def forward_simulate(
             z[:, i] = eval_u(zfields_prev[i], state)
         drift = coefficients.b(y[:, i], z[:, i])
         x[:, i + 1] = state + drift * h + diffusion.apply(increments[:, i])
-        if not np.all(np.isfinite(x[:, i + 1])):
-            bad = int(np.argwhere(~np.isfinite(x[:, i + 1]))[0][0])
-            raise NumericalFailure(
-                f"non-finite state while stepping to node {i + 1}",
-                step=i,
-                path=bad,
-            )
+        _check_state(x[:, i + 1], i)
     terminal = x[:, grid.n]
     y[:, grid.n] = problem.g(terminal)
     z[:, grid.n] = (

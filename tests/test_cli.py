@@ -158,6 +158,28 @@ class TestRun:
         assert code == 2
         assert "iteration 2" in err and "step 3" in err
 
+    def test_out_file_keeps_the_rows_before_a_failing_value(self, capsys,
+                                                            monkeypatch,
+                                                            tmp_path):
+        calls = []
+
+        def second_run_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailure("boom", iteration=1, step=0)
+            return run_markovian_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_markovian_iteration", second_run_fails)
+        path = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--sweep", "N", "--values", "2,4", "--problem", "constant",
+            "--M", "1", "--paths", "300", "--fine-n", "16", "--out", str(path),
+        ])
+        assert code == 2
+        header, row = out.strip().splitlines()
+        assert path.read_text() == f"{header}\n{row}\n"
+        assert header == cli.CSV_HEADER and row.split(",")[2] == "2"
+
     def test_numerical_failure_names_only_the_labels_it_has(self, capsys,
                                                             monkeypatch):
         # a reference failure has a step and a path but no iteration

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fbsdekit import brownian
 from fbsdekit.brownian import (
+    BrownianStore,
     PathBatch,
     coarsen_increments,
     make_time_grid,
@@ -97,14 +99,41 @@ class TestSimulateReference:
             tracemalloc.stop()
         assert peak < 1.5 * 128 * 1024 * 4 * 8
 
-    def test_populates_coarse_cache(self):
+    def test_populates_coarse_cache(self, monkeypatch):
+        # after a reference on 8 steps, coarsening to 8 and 4 steps draws
+        # no fine increment and equals the coarsening of a fresh store
         problem = example2_problem()
         store = sample_fine_increments(5, 30, 64, 1, problem.horizon)
         simulate_reference(problem, store, make_time_grid(0.25, 8))
-        fresh = sample_fine_increments(5, 30, 64, 1, problem.horizon)
-        assert np.array_equal(
-            coarsen_increments(store, 8), coarsen_increments(fresh, 8)
-        )
+        fine_increments = BrownianStore.fine_increments
+        calls = []
+
+        def counted(self, k0, k1):
+            calls.append((k0, k1))
+            return fine_increments(self, k0, k1)
+
+        monkeypatch.setattr(BrownianStore, "fine_increments", counted)
+        warm = [coarsen_increments(store, n) for n in (8, 4)]
+        assert calls == []
+        for n, coarse in zip((8, 4), warm):
+            fresh = sample_fine_increments(5, 30, 64, 1, problem.horizon)
+            assert np.array_equal(coarse, coarsen_increments(fresh, n))
+        assert calls  # the fresh stores were walked
+
+    def test_same_nodes_for_any_window_size(self, monkeypatch):
+        # three-step windows split each eight-step coarse step unevenly
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 4)
+
+        def run():
+            store = sample_fine_increments(6, 30, 32, 4, problem.horizon)
+            ref = simulate_reference(problem, store, grid)
+            return ref.x, ref.y, ref.z, coarsen_increments(store, 4)
+
+        whole = run()
+        monkeypatch.setattr(brownian, "_STREAM_VALUES", 3 * 30 * 4)
+        for a, b in zip(whole, run()):
+            assert np.array_equal(a, b)
 
     def test_requires_analytic_solution(self):
         problem = ProblemSpec(
