@@ -211,9 +211,9 @@ def coarsen_increments(store: BrownianStore, n: int) -> np.ndarray:
     array is obtained whether it is built from the fine grid directly or
     from any cached intermediate coarse level.
     """
+    if int(n) != n or n < 1:
+        raise InvalidArgument(f"step count must be a positive integer, got {n}")
     n = int(n)
-    if n < 1:
-        raise InvalidArgument(f"coarse step count must be positive, got {n}")
     cached = store._coarse_cache.get(n)
     if cached is not None:
         return cached

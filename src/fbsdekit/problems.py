@@ -35,7 +35,9 @@ times identity diffusions elementwise, without forming the
 ``(n, dim_x, dim_w)`` matrices.  Each of their formulas of ``b``,
 ``sigma``, ``f``, ``u`` and ``v`` is written once: the step calls it, and
 the public callables evaluate through ``at`` and one function of both
-fields, so these closed forms equal the composition by construction.
+fields, so these closed forms equal the composition by construction.  A
+spec built with other ``b``, ``sigma``, ``f``, ``u`` or ``v`` drops its
+closed form, so ``closed_form is None`` exactly when the spec composes.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ClosedForm:
     ``x + drift * h + sigma dw`` of the step.  example1 and example2 keep
     this by construction, as their callables are built from the formulas
     the closed form calls; a closed form written by hand must keep it
-    itself.
+    itself.  A spec built with other callables drops it as stale.
     """
 
     step: Callable
@@ -141,23 +143,20 @@ class ProblemSpec:
     grad_g: Callable
     analytic_u: Optional[Callable] = None
     analytic_v: Optional[Callable] = None
-    # Used only while b, sigma, f and analytic_u/v are the callables it
-    # restates: ``dataclasses.replace`` of any of them (a variant problem,
-    # a counting or timing wrapper) would leave it stale, so the spec then
-    # composes from its callables instead.
+    # Dropped when the spec is built unless b, sigma, f and analytic_u/v are
+    # the callables it restates: ``dataclasses.replace`` of any of them (a
+    # variant, a counting or timing wrapper) builds a spec that composes.
     closed_form: Optional[ClosedForm] = None
+
+    def __post_init__(self):
+        if self.closed_form is not None and self.closed_form.coefficients != (
+            self.b, self.sigma, self.f, self.analytic_u, self.analytic_v
+        ):
+            object.__setattr__(self, "closed_form", None)
 
     @property
     def has_analytic_solution(self) -> bool:
         return self.analytic_u is not None and self.analytic_v is not None
-
-    def _current_closed_form(self):
-        closed = self.closed_form
-        if closed is not None and closed.coefficients == (
-            self.b, self.sigma, self.f, self.analytic_u, self.analytic_v
-        ):
-            return closed
-        return None
 
     def reference_step(self, t, x, dw, h):
         """Euler step of the decoupled reference from ``x`` at time ``t``.
@@ -165,9 +164,8 @@ class ProblemSpec:
         Drift and diffusion are taken at the analytic fields ``u(t, x)``
         and ``v(t, x)``; returns ``x + b h + sigma dw``.
         """
-        closed = self._current_closed_form()
-        if closed is not None:
-            return closed.step(t, x, dw, h)
+        if self.closed_form is not None:
+            return self.closed_form.step(t, x, dw, h)
         u_vals = self.analytic_u(t, x)
         coefficients = self.at(t, x)
         drift = coefficients.b(u_vals, self.analytic_v(t, x))
@@ -179,9 +177,8 @@ class ProblemSpec:
         Returns ``b(y, z)``, ``f(y, z)`` and ``diffusion(y)``, the action
         of ``sigma(t, x, y)`` (see the module docstring).
         """
-        closed = self._current_closed_form()
-        if closed is not None:
-            return closed.at(t, x)
+        if self.closed_form is not None:
+            return self.closed_form.at(t, x)
         return _StepCoefficients(
             b=lambda y, z: self.b(t, x, y, z),
             f=lambda y, z: self.f(t, x, y, z),

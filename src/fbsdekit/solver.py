@@ -200,8 +200,7 @@ def _auto_box(paths: PathBatch):
     (diffusion vanishing at zero value).
     """
     states = paths.all_states()
-    q_lo = np.quantile(states, 0.0005, axis=0)
-    q_hi = np.quantile(states, 0.9995, axis=0)
+    q_lo, q_hi = np.quantile(states, [0.0005, 0.9995], axis=0)
     center = 0.5 * (q_lo + q_hi)
     half = np.maximum(0.55 * (q_hi - q_lo), 3.0)
     return center - half, center + half
@@ -217,10 +216,11 @@ def run_markovian_iteration(
 
     Forward sweep ``m = 1 .. M + 1`` runs on the base increments with the
     fields of iteration ``m - 1``; it feeds fit ``m``, and sweep ``M + 1``
-    gives ``final_paths``.  ``store`` may be shared across runs to reuse
-    cached coarse increments.  When ``reference_paths`` is given, sweep
-    ``m > 1`` also gives the :class:`ErrorReport` of iteration ``m - 1``,
-    which equals the final report of a run with ``num_iterations=m - 1``.
+    gives ``final_paths``.  ``store``, drawn for ``cfg``'s seed and the
+    problem's horizon, may be shared across runs to reuse cached coarse
+    increments.  When ``reference_paths`` is given, sweep ``m > 1`` also
+    gives the :class:`ErrorReport` of iteration ``m - 1``, which equals the
+    final report of a run with ``num_iterations=m - 1``.
 
     A :class:`NumericalFailure` in sweep ``m`` or fit ``m`` leaves this
     loop labelled with ``iteration=m``, and with the fields of the
@@ -236,6 +236,8 @@ def run_markovian_iteration(
         store.num_paths != cfg.num_paths
         or store.fine_n != cfg.fine_n
         or store.dim_w != problem.dim_w
+        or store.seed != int(cfg.seed) & 0xFFFFFFFFFFFFFFFF
+        or abs(store.horizon - grid.horizon) > 1e-12 * max(1.0, grid.horizon)
     ):
         raise InvalidArgument("store does not match the solver configuration")
     base_coarse = coarsen_increments(store, cfg.n_steps)

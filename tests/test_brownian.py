@@ -215,6 +215,13 @@ class TestCoarsen:
         with pytest.raises(InvalidArgument):
             coarsen_increments(store, 3)
 
+    @pytest.mark.parametrize("n", [2.5, 0, -2])
+    def test_non_positive_integer_step_count_raises(self, n):
+        # as make_time_grid does: 2.5 is not truncated to 2
+        store = sample_fine_increments(1, 4, 8, 1, 1.0)
+        with pytest.raises(InvalidArgument, match="positive integer"):
+            coarsen_increments(store, n)
+
     def test_coarse_variance(self):
         store = sample_fine_increments(17, 4000, 64, 1, 0.25)
         coarse = coarsen_increments(store, 4)

@@ -276,6 +276,7 @@ class TestClosedFormSteps:
             return 2.0 * problem.b(t, x, y, z)
 
         variant = dataclasses.replace(problem, b=b)
+        assert variant.closed_form is None
         rng = np.random.default_rng(11)
         x = problem.x0 + rng.normal(size=(64, 4))
         dw = rng.normal(scale=0.01, size=(64, 4))
@@ -284,6 +285,10 @@ class TestClosedFormSteps:
         assert seen == [0.1]
         assert np.array_equal(stepped, composed.reference_step(0.1, x, dw, 1e-3))
         assert not np.array_equal(stepped, problem.reference_step(0.1, x, dw, 1e-3))
+        y, z = rng.normal(size=64), rng.normal(size=(64, 4))
+        assert np.array_equal(
+            variant.at(0.1, x).b(y, z), composed.at(0.1, x).b(y, z)
+        )
 
 
 class TestClosedFormCoefficients:
@@ -354,6 +359,7 @@ class TestClosedFormCoefficients:
             return 2.0 * problem.f(t, x, y, z)
 
         variant = dataclasses.replace(problem, f=f)
+        assert variant.closed_form is None
         rng = np.random.default_rng(12)
         x = problem.x0 + rng.normal(size=(64, 4))
         y = rng.normal(size=64)
@@ -366,6 +372,49 @@ class TestClosedFormCoefficients:
         assert np.array_equal(
             variant.reference_step(0.1, x, dw, 1e-3),
             composed.reference_step(0.1, x, dw, 1e-3),
+        )
+
+
+class TestClosedFormSettledAtBuild:
+    """A spec keeps its closed form only while its callables are the ones
+    the closed form restates, so ``closed_form is None`` exactly when
+    ``reference_step`` and ``at`` compose."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
+    def test_factories_keep_their_closed_form(self, name):
+        problem = CLOSED_FORM_PROBLEMS[name]()
+        assert problem.closed_form is not None
+        # name is not among the callables the closed form restates
+        renamed = dataclasses.replace(problem, name="renamed")
+        assert renamed.closed_form is problem.closed_form
+
+    @pytest.mark.parametrize(
+        "field", ["b", "sigma", "f", "analytic_u", "analytic_v"]
+    )
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PROBLEMS))
+    def test_replaced_callable_drops_the_closed_form(self, name, field):
+        problem = CLOSED_FORM_PROBLEMS[name]()
+        original = getattr(problem, field)
+        variant = dataclasses.replace(
+            problem, **{field: lambda *args: original(*args)}
+        )
+        assert variant.closed_form is None
+        # the wrapper returns the same values, so the variant composes the
+        # same numbers as the spec built without a closed form
+        composed = dataclasses.replace(problem, closed_form=None)
+        rng = np.random.default_rng(5)
+        n, t, h = 64, 0.1, 1e-3
+        x = problem.x0 + rng.normal(size=(n, problem.dim_x))
+        dw = rng.normal(scale=math.sqrt(h), size=(n, problem.dim_w))
+        y, z = rng.normal(size=n), rng.normal(size=(n, problem.dim_w))
+        assert np.array_equal(
+            variant.reference_step(t, x, dw, h), composed.reference_step(t, x, dw, h)
+        )
+        got, want = variant.at(t, x), composed.at(t, x)
+        assert np.array_equal(got.b(y, z), want.b(y, z))
+        assert np.array_equal(got.f(y, z), want.f(y, z))
+        assert np.array_equal(
+            got.diffusion(y).apply(dw), want.diffusion(y).apply(dw)
         )
 
 

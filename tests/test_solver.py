@@ -377,11 +377,16 @@ class TestRunMarkovianIteration:
         for before, after in zip(totals[1:], totals[2:]):
             assert after <= 1.2 * before
 
-    def test_mismatched_store_rejected(self):
+    @pytest.mark.parametrize("seed, num_paths, horizon", [
+        (7, 10, 0.25),  # paths
+        (7, 11, 0.5),  # horizon: coarse increments of twice the variance
+        (2, 11, 0.25),  # seed: not the seed the configuration reports
+    ], ids=["paths", "horizon", "seed"])
+    def test_mismatched_store_rejected(self, seed, num_paths, horizon):
         problem = example2_problem()
-        store = sample_fine_increments(1, 10, 16, 1, problem.horizon)
+        store = sample_fine_increments(seed, num_paths, 16, 1, horizon)
         cfg = SolverConfig(n_steps=4, num_iterations=1, num_paths=11, fine_n=16)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="does not match"):
             run_markovian_iteration(problem, cfg, store=store)
 
     def test_config_validation(self):
