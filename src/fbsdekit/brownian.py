@@ -72,6 +72,20 @@ def paths_fastest(shape) -> np.ndarray:
     return np.empty(shape, order="F")
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an ``int``; it must be a whole number of at least 1."""
+    if int(value) != value or value < 1:
+        raise InvalidArgument(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
+def _positive_horizon(horizon) -> float:
+    """``horizon`` as a ``float``; it must be finite and positive."""
+    if horizon is None or not np.isfinite(horizon) or horizon <= 0.0:
+        raise InvalidArgument(f"horizon must be positive, got {horizon}")
+    return float(horizon)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid ``t_i = i * h`` on ``[0, T]`` with ``h = T / n``."""
@@ -84,15 +98,12 @@ class TimeGrid:
 
 def make_time_grid(horizon: float, n: int) -> TimeGrid:
     """Build the uniform grid with ``n`` steps on ``[0, horizon]``."""
-    if horizon is None or not np.isfinite(horizon) or horizon <= 0.0:
-        raise InvalidArgument(f"horizon must be positive, got {horizon}")
-    if int(n) != n or n < 1:
-        raise InvalidArgument(f"step count must be a positive integer, got {n}")
-    n = int(n)
+    horizon = _positive_horizon(horizon)
+    n = _positive_int(n, "step count")
     h = horizon / n
     nodes = h * np.arange(n + 1, dtype=np.float64)
     nodes[-1] = horizon  # guard against the last multiply drifting off T
-    return TimeGrid(horizon=float(horizon), n=n, h=h, nodes=nodes)
+    return TimeGrid(horizon=horizon, n=n, h=h, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -184,21 +195,12 @@ def sample_fine_increments(
     seed: int, num_paths: int, fine_n: int, dim_w: int, horizon: float
 ) -> BrownianStore:
     """Create the increment store for ``num_paths`` paths on the fine grid."""
-    for name, value in (
-        ("num_paths", num_paths),
-        ("fine_n", fine_n),
-        ("dim_w", dim_w),
-    ):
-        if int(value) != value or value < 1:
-            raise InvalidArgument(f"{name} must be a positive integer, got {value}")
-    if horizon <= 0.0 or not np.isfinite(horizon):
-        raise InvalidArgument(f"horizon must be positive, got {horizon}")
-    return BrownianStore(
+    return BrownianStore(  # the checks run first, in keyword order
+        num_paths=_positive_int(num_paths, "num_paths"),
+        fine_n=_positive_int(fine_n, "fine_n"),
+        dim_w=_positive_int(dim_w, "dim_w"),
+        horizon=_positive_horizon(horizon),
         seed=int(seed) & 0xFFFFFFFFFFFFFFFF,
-        num_paths=int(num_paths),
-        fine_n=int(fine_n),
-        dim_w=int(dim_w),
-        horizon=float(horizon),
     )
 
 
@@ -211,9 +213,7 @@ def coarsen_increments(store: BrownianStore, n: int) -> np.ndarray:
     array is obtained whether it is built from the fine grid directly or
     from any cached intermediate coarse level.
     """
-    if int(n) != n or n < 1:
-        raise InvalidArgument(f"step count must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_int(n, "step count")
     cached = store._coarse_cache.get(n)
     if cached is not None:
         return cached

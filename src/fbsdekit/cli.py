@@ -214,23 +214,22 @@ def _sweep(options, sweep, values) -> int:
     N is strided to each coarser grid; otherwise each N gets its own.  One
     reference at the lcm of the values would give the same rows, but its
     nodes can far outnumber the largest N: N = 31 and 32 need 992, and
-    N = 5 and 4096 at fine_n 20480 need all 20480.  Each row is appended
-    to ``--out`` as it is made, so a failing value keeps the rows before
-    it.
+    N = 5 and 4096 at fine_n 20480 need all 20480.  Every value's config is
+    checked before any reference is simulated.  Each row is appended to
+    ``--out`` as it is made, so a failing value keeps the rows before it.
     """
     problem = _build_problem(options)
     n_values = values if sweep == "N" else [options["N"]]
     grids = {n: make_time_grid(problem.horizon, n) for n in n_values}
-    for n in grids:
-        if options["fine_n"] % n != 0:
-            raise _CliError(
-                f"fine_n={options['fine_n']} is not divisible by N={n}: "
-                "N must divide fine_n"
-            )
     store = sample_fine_increments(
         options["seed"], options["paths"], options["fine_n"],
         problem.dim_w, problem.horizon,
     )
+    configs = [
+        _solver_config(options, v, options["M"]) if sweep == "N"
+        else _solver_config(options, options["N"], v)
+        for v in values
+    ]
 
     n_max = max(grids)
     if all(n_max % n == 0 for n in grids):
@@ -244,11 +243,9 @@ def _sweep(options, sweep, values) -> int:
 
     print(CSV_HEADER)
     totals = []
-    for v in values:
-        n = v if sweep == "N" else options["N"]
-        m = v if sweep == "M" else options["M"]
+    for v, cfg in zip(values, configs):
+        n = cfg.n_steps
         start = time.perf_counter()
-        cfg = _solver_config(options, n, m)
         result = run_markovian_iteration(problem, cfg, store=store)
         report = compute_errors(result.final_paths, references[n], grids[n])
         del result  # freed before the next run is built

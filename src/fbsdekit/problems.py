@@ -8,7 +8,7 @@ required: the forward sweep reads the terminal gradient process as
 ``grad_g sigma``.  The backward component is scalar throughout; the
 gradient process is a ``dim_w`` row vector.
 
-Coefficient callables are vectorized over paths:
+Coefficient callables are vectorized over paths; ``dim_x`` is ``len(x0)``:
 
 * ``b(t, x, y, z)``     with ``x: (n, dim_x)``, ``y: (n,)``,
   ``z: (n, dim_w)`` returning ``(n, dim_x)``,
@@ -131,8 +131,9 @@ class _ScaledIdentity:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A benchmark FBSDE; its state dimension ``dim_x`` is ``len(x0)``."""
+
     name: str
-    dim_x: int
     dim_w: int
     x0: np.ndarray
     horizon: float
@@ -153,6 +154,10 @@ class ProblemSpec:
             self.b, self.sigma, self.f, self.analytic_u, self.analytic_v
         ):
             object.__setattr__(self, "closed_form", None)
+
+    @property
+    def dim_x(self) -> int:
+        return self.x0.shape[0]
 
     @property
     def has_analytic_solution(self) -> bool:
@@ -214,7 +219,7 @@ def _closed_form_problem(name, x0, T, g, grad_g, fields, at, step):
         return fields(t, x)[1]
 
     return ProblemSpec(
-        name=name, dim_x=dim, dim_w=dim, x0=x0, horizon=T,
+        name=name, dim_w=dim, x0=x0, horizon=T,
         b=b, sigma=sigma, f=f, g=g, grad_g=grad_g,
         analytic_u=analytic_u, analytic_v=analytic_v,
         closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
@@ -363,7 +368,7 @@ def decoupled_test_problem(
     # the fields never move off g: u(t, x) = g(x) and, as sigma = 1,
     # v(t, x) = grad_g(x)
     return ProblemSpec(
-        name=kind, dim_x=1, dim_w=1, x0=np.array([0.0]), horizon=T,
+        name=kind, dim_w=1, x0=np.array([0.0]), horizon=T,
         b=b, sigma=sigma, f=f, g=g, grad_g=grad_g,
         analytic_u=lambda t, x: g(x), analytic_v=lambda t, x: grad_g(x),
     )

@@ -43,15 +43,15 @@ def simulate_reference(
     state raises :class:`NumericalFailure` at the first coarse node it
     reaches, with that coarse ``step`` and the first bad ``path``.
 
-    Steps through the store's walk of ``grid``; as the walk's side effect
-    the store caches the grid's coarse increments, so a following
+    Walks ``grid`` on the store, whose horizon must equal the grid's exactly;
+    the walk caches the grid's coarse increments, so a following
     ``coarsen_increments(store, grid.n)`` costs nothing extra.
     """
     if not problem.has_analytic_solution:
         raise UnsupportedProblem(
             f"problem {problem.name!r} has no analytic decoupling fields"
         )
-    if abs(store.horizon - grid.horizon) > 1e-12 * max(1.0, grid.horizon):
+    if store.horizon != grid.horizon:
         raise InvalidArgument("store and grid disagree on the horizon")
     num_paths, dim, dim_w = store.num_paths, problem.dim_x, problem.dim_w
     span = store.fine_n // grid.n

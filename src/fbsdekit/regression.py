@@ -91,26 +91,25 @@ def _openblas_pool():
 
 # numpy's OpenBLAS and its thread pool, which carries the Gram, the
 # right-hand side, the Cholesky factor and the triangular solves
-_BLAS_POOLS = {"numpy": _openblas_pool()}
+_BLAS_POOL = _openblas_pool()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with every pool of :data:`_BLAS_POOLS` at one thread,
-    then give each its previous count back.
-
-    A pool that was not found runs unpinned.  The counts are process-global,
-    so this must not be entered from worker threads.
+    """Run the block with :data:`_BLAS_POOL`, if found, at one thread, then
+    give it its previous count back.  The count is process-global, so this
+    must not be entered from worker threads.
     """
-    pools = [pool for pool in _BLAS_POOLS.values() if pool is not None]
-    previous = [get() for get, _ in pools]
+    if _BLAS_POOL is None:
+        yield
+        return
+    get, set_ = _BLAS_POOL
+    previous = get()
     try:
-        for _, set_ in pools:
-            set_(1)
+        set_(1)
         yield
     finally:
-        for (_, set_), count in zip(pools, previous):
-            set_(count)
+        set_(previous)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,8 @@ class SolverConfig:
                 raise InvalidArgument(f"{name} must be positive")
         if self.fine_n % self.n_steps != 0:
             raise InvalidArgument(
-                f"fine_n={self.fine_n} is not divisible by n_steps={self.n_steps}"
+                f"fine_n={self.fine_n} is not divisible by N={self.n_steps}: "
+                "N must divide fine_n"
             )
         if self.method not in METHODS:
             raise InvalidArgument(f"method must be one of {METHODS}")
@@ -216,11 +217,11 @@ def run_markovian_iteration(
 
     Forward sweep ``m = 1 .. M + 1`` runs on the base increments with the
     fields of iteration ``m - 1``; it feeds fit ``m``, and sweep ``M + 1``
-    gives ``final_paths``.  ``store``, drawn for ``cfg``'s seed and the
-    problem's horizon, may be shared across runs to reuse cached coarse
-    increments.  When ``reference_paths`` is given, sweep ``m > 1`` also
-    gives the :class:`ErrorReport` of iteration ``m - 1``, which equals the
-    final report of a run with ``num_iterations=m - 1``.
+    gives ``final_paths``.  A ``store`` shared across runs to reuse cached
+    coarse increments must equal the one ``cfg`` draws for the problem.
+    When ``reference_paths`` is given, sweep ``m > 1`` also gives the
+    :class:`ErrorReport` of iteration ``m - 1``, which equals the final
+    report of a run with ``num_iterations=m - 1``.
 
     A :class:`NumericalFailure` in sweep ``m`` or fit ``m`` leaves this
     loop labelled with ``iteration=m``, and with the fields of the
@@ -228,17 +229,13 @@ def run_markovian_iteration(
     :func:`backward_pass` label its ``step``.
     """
     grid = make_time_grid(problem.horizon, cfg.n_steps)
+    # a store draws nothing until it is walked, so this costs no draws
+    drawn = sample_fine_increments(
+        cfg.seed, cfg.num_paths, cfg.fine_n, problem.dim_w, problem.horizon
+    )
     if store is None:
-        store = sample_fine_increments(
-            cfg.seed, cfg.num_paths, cfg.fine_n, problem.dim_w, problem.horizon
-        )
-    elif (
-        store.num_paths != cfg.num_paths
-        or store.fine_n != cfg.fine_n
-        or store.dim_w != problem.dim_w
-        or store.seed != int(cfg.seed) & 0xFFFFFFFFFFFFFFFF
-        or abs(store.horizon - grid.horizon) > 1e-12 * max(1.0, grid.horizon)
-    ):
+        store = drawn
+    elif store != drawn:  # the cached coarse sums take no part
         raise InvalidArgument("store does not match the solver configuration")
     base_coarse = coarsen_increments(store, cfg.n_steps)
 

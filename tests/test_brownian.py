@@ -137,6 +137,11 @@ class TestStore:
         with pytest.raises(InvalidArgument):
             store.fine_increments(3, 9)
 
+    def test_missing_horizon_rejected(self):
+        # the rule make_time_grid applies, not a TypeError from the compare
+        with pytest.raises(InvalidArgument, match="horizon must be positive"):
+            sample_fine_increments(7, 2, 4, 1, None)
+
     def test_moments_at_experiment_scale(self):
         # 4 standard errors for the mean; 1% relative for the variance.
         horizon, fine_n, num_paths = 0.25, 20480, 15000

@@ -334,6 +334,23 @@ class TestSweep:
         code, err = outcomes.pop()
         assert code == 1 and err.startswith("error: ")
 
+    def test_every_config_checked_before_the_reference(self, capsys,
+                                                       monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return simulate_reference(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_reference", counting)
+        code, _, err = run_cli(
+            capsys,
+            ["sweep", "--sweep", "N", "--values", "2,4", "--M", "0",
+             "--problem", "constant"] + FAST,
+        )
+        assert code == 1 and err.startswith("error: ")
+        assert calls == []
+
     def test_nondivisor_value_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -432,7 +449,7 @@ class TestThreadIndependence:
     # numpy's OpenBLAS pool size after import; OpenBLAS caps it at the cores
     POOL_PROBE = (
         "import sys; from fbsdekit import cli, regression; "
-        "pool = regression._BLAS_POOLS['numpy']; "
+        "pool = regression._BLAS_POOL; "
         "print(pool[0]() if pool else 0, file=sys.stderr); "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
@@ -453,7 +470,7 @@ class TestThreadIndependence:
                 outputs.append(strip_wall(child.stdout))
                 pools.append(int(child.stderr.split()[0]))
             compared = f"{pools[0]} against {pools[1]} threads"
-            if (os.cpu_count() or 1) >= 2 and regression._BLAS_POOLS["numpy"]:
+            if (os.cpu_count() or 1) >= 2 and regression._BLAS_POOL:
                 assert pools[1] > 1, f"FBSDE_THREADS=4 ran {compared}"
             assert outputs[0] == outputs[1], f"{run}: {compared}"
 

@@ -15,6 +15,7 @@ import pytest
 from fbsdekit.diagnostics import AssumptionConstants, check_conditions, report_to_json
 from fbsdekit.errors import InvalidArgument
 from fbsdekit.problems import (
+    ProblemSpec,
     decoupled_test_problem,
     example1_assumption_constants,
     example1_problem,
@@ -438,6 +439,14 @@ class TestDecoupledProblems:
     def test_unknown_kind(self):
         with pytest.raises(InvalidArgument):
             decoupled_test_problem("bogus")
+
+    def test_dim_x_is_read_off_x0(self):
+        problem = decoupled_test_problem("constant")
+        assert dataclasses.replace(problem, x0=np.zeros(3)).dim_x == 3
+        fields = {f.name: getattr(problem, f.name)
+                  for f in dataclasses.fields(ProblemSpec)}
+        with pytest.raises(TypeError):
+            ProblemSpec(**fields, dim_x=1)  # no field can contradict x0
 
 
 class TestExample1Constants:

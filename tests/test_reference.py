@@ -28,7 +28,6 @@ class TestSimulateReference:
     def test_frozen_dynamics_reads_fields_at_start_point(self):
         problem = ProblemSpec(
             name="frozen",
-            dim_x=1,
             dim_w=1,
             x0=np.array([0.7]),
             horizon=0.25,
@@ -138,7 +137,6 @@ class TestSimulateReference:
     def test_requires_analytic_solution(self):
         problem = ProblemSpec(
             name="bare",
-            dim_x=1,
             dim_w=1,
             x0=np.array([0.0]),
             horizon=0.25,
@@ -161,7 +159,6 @@ class TestSimulateReference:
 
         problem = ProblemSpec(
             name="blow-up",
-            dim_x=1,
             dim_w=1,
             x0=np.array([0.0]),
             horizon=0.25,
@@ -186,6 +183,14 @@ class TestSimulateReference:
         store = sample_fine_increments(1, 10, 16, 1, problem.horizon)
         with pytest.raises(InvalidArgument):
             simulate_reference(problem, store, make_time_grid(0.25, 3))
+
+    @pytest.mark.parametrize("horizon", [0.5, math.nextafter(0.25, 1.0)],
+                             ids=["double", "one-ulp"])
+    def test_store_for_another_horizon_rejected(self, horizon):
+        problem = example2_problem()
+        store = sample_fine_increments(1, 10, 16, 1, horizon)
+        with pytest.raises(InvalidArgument, match="disagree on the horizon"):
+            simulate_reference(problem, store, make_time_grid(0.25, 4))
 
 
 def batch(x, y, z):

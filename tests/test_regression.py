@@ -106,19 +106,18 @@ class TestOneBlasThread:
 
     @pytest.fixture(autouse=True)
     def two_threads(self):
-        if regression._BLAS_POOLS["numpy"] is None:
+        if regression._BLAS_POOL is None:
             pytest.skip("no OpenBLAS thread-count symbols for numpy in this build")
         before = self.counts()
-        for _, set_ in regression._BLAS_POOLS.values():
-            set_(2)  # a count the pin has to change and give back
+        _, set_ = regression._BLAS_POOL
+        set_(2)  # a count the pin has to change and give back
         yield
-        for (_, set_), count in zip(regression._BLAS_POOLS.values(),
-                                    before.values()):
-            set_(count)
+        set_(before["numpy"])
 
     @staticmethod
     def counts():
-        return {name: get() for name, (get, _) in regression._BLAS_POOLS.items()}
+        get, _ = regression._BLAS_POOL
+        return {"numpy": get()}
 
     @pytest.fixture
     def inside(self, monkeypatch):

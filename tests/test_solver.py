@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import weakref
 
 import numpy as np
@@ -38,7 +39,6 @@ def make_problem(drift=0.0, vol=0.0, x0=1.0, horizon=0.25):
     """Deterministic 1-d problem with constant coefficients."""
     return ProblemSpec(
         name="toy",
-        dim_x=1,
         dim_w=1,
         x0=np.array([x0]),
         horizon=horizon,
@@ -96,7 +96,6 @@ class TestForwardSimulate:
     def test_non_finite_state_raises_with_location(self):
         problem = ProblemSpec(
             name="explode",
-            dim_x=1,
             dim_w=1,
             x0=np.array([1.0]),
             horizon=0.25,
@@ -377,14 +376,16 @@ class TestRunMarkovianIteration:
         for before, after in zip(totals[1:], totals[2:]):
             assert after <= 1.2 * before
 
-    @pytest.mark.parametrize("seed, num_paths, horizon", [
-        (7, 10, 0.25),  # paths
-        (7, 11, 0.5),  # horizon: coarse increments of twice the variance
-        (2, 11, 0.25),  # seed: not the seed the configuration reports
-    ], ids=["paths", "horizon", "seed"])
-    def test_mismatched_store_rejected(self, seed, num_paths, horizon):
+    @pytest.mark.parametrize("seed, num_paths, dim_w, horizon", [
+        (7, 10, 1, 0.25),  # paths
+        (7, 11, 1, 0.5),  # horizon: coarse increments of twice the variance
+        (7, 11, 1, math.nextafter(0.25, 1.0)),  # horizon, one ulp off
+        (7, 11, 2, 0.25),  # dim_w: two Brownian components for one
+        (2, 11, 1, 0.25),  # seed: not the seed the configuration reports
+    ], ids=["paths", "horizon", "horizon-ulp", "dim_w", "seed"])
+    def test_mismatched_store_rejected(self, seed, num_paths, dim_w, horizon):
         problem = example2_problem()
-        store = sample_fine_increments(seed, num_paths, 16, 1, horizon)
+        store = sample_fine_increments(seed, num_paths, 16, dim_w, horizon)
         cfg = SolverConfig(n_steps=4, num_iterations=1, num_paths=11, fine_n=16)
         with pytest.raises(InvalidArgument, match="does not match"):
             run_markovian_iteration(problem, cfg, store=store)
@@ -599,7 +600,6 @@ class TestRunMarkovianIteration:
         # is the final sweep of a one-iteration run
         problem = ProblemSpec(
             name="late-explode",
-            dim_x=1,
             dim_w=1,
             x0=np.array([1.0]),
             horizon=0.25,

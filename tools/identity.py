@@ -167,7 +167,11 @@ def provenance():
     import fbsdekit
     import fbsdekit.regression
 
-    pools = getattr(fbsdekit.regression, "_BLAS_POOLS", {})
+    regression = fbsdekit.regression
+    if hasattr(regression, "_BLAS_POOL"):
+        pool = regression._BLAS_POOL
+    else:  # sources that kept the pool in a one-entry dict
+        pool = getattr(regression, "_BLAS_POOLS", {}).get("numpy")
     package = Path(fbsdekit.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(package.rglob("*.py")):
@@ -178,7 +182,7 @@ def provenance():
         "numpy": numpy.__version__,
         "FBSDE_THREADS": os.environ.get("FBSDE_THREADS"),
         "fbsdekit_sources": digest.hexdigest(),
-        "blas_pins": {"numpy": pools.get("numpy") is not None},
+        "blas_pins": {"numpy": pool is not None},
     }
     with contextlib.suppress(ImportError):
         import scipy
