@@ -17,6 +17,13 @@ values.  Results do not depend on them where numpy bundles its own
 OpenBLAS (its Linux wheels from PyPI), whose pool the least-squares solves
 pin to one thread; with another BLAS they are reproducible per thread
 count.
+
+The reference and the coarsening read the Brownian store in windows of
+at most 2^16 values.  A walk of 2^23 normals or more, where ``os.fork``
+exists and a second core is usable, forks one producer process that draws
+the windows ahead while this process steps; ``FBSDE_THREADS=1`` keeps the
+draws in process.  The windows are the same bits either way, so no output
+depends on it.
 """
 
 import os

@@ -7,15 +7,27 @@ The increment store never materializes the full
 
 of numpy's Philox-4x64-10 generator, keyed by the seed and counted by the
 step, then scaled and quantized.  Any step window can therefore be
-generated on its own, in any order, with bit-identical results.  Each
-step's draw is filled in C order, so the paths of a store are a prefix of
-the paths of any larger store with the same seed; it is drawn into one
-reused ``(num_paths, dim_w)`` buffer and copied into the window, which is
-stored paths-fastest (see :func:`paths_fastest`).  The reference and the
-coarsening walk the grid in windows of at most ``_STREAM_VALUES`` values,
-which bound the transient memory; the walk caches the coarse sums it
-forms.  numpy does not promise ``Generator`` streams across releases; a
-known-answer test pins the values this store draws.
+generated on its own, in any order, by any process, with bit-identical
+results.  Each step's draw is filled in C order, so the paths of a store
+are a prefix of the paths of any larger store with the same seed; it is
+drawn into one reused ``(num_paths, dim_w)`` buffer and copied into the
+window, which is stored paths-fastest (see :func:`paths_fastest`).  numpy
+does not promise ``Generator`` streams across releases; a known-answer
+test pins the values this store draws.
+
+The reference and the coarsening read the grid through one walk,
+``BrownianStore._walk``, in windows of at most ``_STREAM_VALUES`` values
+(one step, where a step holds more), which bound the transient memory;
+the walk caches the coarse sums it forms.  A walk that draws at least
+``_FORK_NORMALS`` normals, in a process that may fork and has a second
+core (``FBSDE_THREADS`` unset or above 1), forks a producer: a child
+process that draws the windows ahead of the walk, on the cores other than
+the parent's, into a ring of ``_RING_SLOTS`` shared slots while the parent
+sums and steps.  Every
+other walk draws its windows in process, as does a walk whose producer
+has died, for the windows left.  The windows are the same bits either
+way.  A yielded window is valid only until the next one is requested:
+its slot is then drawn over.
 
 Each increment is rounded to the nearest multiple of ``2**-40``.  The
 rounding perturbs an increment by at most ``~5e-13`` (many orders below
@@ -30,6 +42,10 @@ coarsens consistently.
 from __future__ import annotations
 
 import collections
+import contextlib
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +65,17 @@ __all__ = [
 # Increments are multiples of this quantum; see module docstring.
 _QUANTUM = 2.0**-40
 
-# Values per streamed window of increments (bounds transient memory).
-_STREAM_VALUES = 1 << 22
+# Values per streamed window of increments (bounds transient memory, and
+# sizes the producer's slots: 512 KiB each).
+_STREAM_VALUES = 1 << 16
+
+# A walk forks a producer from this many normals on: about twice what a
+# fork costs the process afterwards (page faults, the BLAS pool restart),
+# at some 17 ns per normal.
+_FORK_NORMALS = 1 << 23
+
+# Windows a producer may draw ahead of the walk.
+_RING_SLOTS = 4
 
 
 def paths_fastest(shape) -> np.ndarray:
@@ -74,9 +99,13 @@ def paths_fastest(shape) -> np.ndarray:
 
 def _positive_int(value, name: str) -> int:
     """``value`` as an ``int``; it must be a whole number of at least 1."""
-    if int(value) != value or value < 1:
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, infinities
+        whole = None
+    if whole is None or whole != value or whole < 1:
         raise InvalidArgument(f"{name} must be a positive integer, got {value}")
-    return int(value)
+    return whole
 
 
 def _positive_horizon(horizon) -> float:
@@ -143,42 +172,63 @@ class BrownianStore:
         if not 0 <= k0 <= k1 <= self.fine_n:
             raise InvalidArgument(f"step window [{k0}, {k1}) out of range")
         out = paths_fastest((self.num_paths, k1 - k0, self.dim_w))
+        self._draw(k0, out)
+        return out
+
+    def _draw(self, k0: int, out: np.ndarray) -> None:
+        """Fill ``out``, a paths-fastest ``(num_paths, steps, dim_w)`` array,
+        with the increments of fine steps ``k0 <= k < k0 + steps``."""
         draw = np.empty((self.num_paths, self.dim_w))
         # One generator per call; resetting its state to step k's counter
         # (buffer empty) equals constructing Philox(key, counter=[0, k, 0, 0]).
         gen = np.random.Generator(np.random.Philox(key=self.seed))
         state = gen.bit_generator.state
-        for k in range(k0, k1):
-            state["state"]["counter"][1] = k
+        for j in range(out.shape[1]):
+            state["state"]["counter"][1] = k0 + j
             gen.bit_generator.state = state
             gen.standard_normal(out=draw)
-            out[:, k - k0] = draw
+            out[:, j] = draw
         scale = np.sqrt(self.fine_step_variance)
         np.multiply(out, scale / _QUANTUM, out=out)
         np.rint(out, out=out)
         out *= _QUANTUM
-        return out
 
     def _walk(self, n: int):
         """Yield ``(i, k0, window)`` over the stream windows of each coarse
-        step ``i`` of the ``n``-step grid: ``window = fine_increments(k0,
-        k1)`` holds at most ``_STREAM_VALUES`` values (at least one step).
-        Their sums form the coarse increments, cached when the walk ends.
-        A consumer drops each window before it asks for the next, or two
-        are alive while the next is drawn.  ``n`` is positive.
+        step ``i`` of the ``n``-step grid: ``window`` holds the increments
+        ``fine_increments(k0, k1)``, at most ``_STREAM_VALUES`` values (at
+        least one step).  Their sums form the coarse increments, cached
+        when the walk ends.  ``n`` is positive.
+
+        A forked producer draws the windows of a walk of ``_FORK_NORMALS``
+        normals or more, where :func:`_producer_allowed`; every other walk
+        draws them in process (see the module docstring).  A window is
+        valid only until the next one is requested, and a consumer drops
+        it before then.  Close a walk that is not run to its end
+        (``contextlib.closing``): that ends its producer at once.
         """
         if self.fine_n % n != 0:
             raise InvalidArgument(f"fine_n={self.fine_n} is not divisible by n={n}")
         span = self.fine_n // n
         sub = max(1, _STREAM_VALUES // (self.num_paths * self.dim_w))
+        plan = [
+            (k0, min(k0 + sub, (i + 1) * span))
+            for i in range(n)
+            for k0 in range(i * span, (i + 1) * span, sub)
+        ]
         coarse = paths_fastest((self.num_paths, n, self.dim_w))
         coarse.fill(0.0)
-        for i in range(n):
-            for k0 in range(i * span, (i + 1) * span, sub):
-                window = self.fine_increments(k0, min(k0 + sub, (i + 1) * span))
+        normals = self.num_paths * self.fine_n * self.dim_w
+        draws = _Draws(self, plan, normals >= _FORK_NORMALS and _producer_allowed())
+        try:
+            for j, (k0, _) in enumerate(plan):
+                i, window = k0 // span, draws.window(j)
                 coarse[:, i, :] += window.sum(axis=1)
                 yield i, k0, window
-                del window  # freed before the next window is drawn
+                del window  # dropped before its slot is handed back
+                draws.release(j)
+        finally:
+            draws.close()
         self._note_coarse(n, coarse)
 
     def _note_coarse(self, n: int, increments: np.ndarray) -> None:
@@ -189,6 +239,127 @@ class BrownianStore:
         if n not in self._coarse_cache:
             increments.flags.writeable = False
             self._coarse_cache[n] = increments
+
+
+def _producer_allowed() -> bool:
+    """Whether this process may fork a draw producer: ``os.fork`` exists,
+    more than one core is usable and ``FBSDE_THREADS`` is unset or above
+    1.  The walk's own size is the other half of the gate."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    try:
+        threads = int(os.environ.get("FBSDE_THREADS", cores))
+    except ValueError:
+        return False
+    return cores > 1 and threads > 1
+
+
+def _other_cores():
+    """The usable cores but the one this process runs on, or ``None``
+    where either cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            core = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {core}
+    except (OSError, AttributeError, IndexError, ValueError):
+        return None
+
+
+class _Draws:
+    """The windows of one walk's ``plan`` of ``(k0, k1)`` step ranges.
+
+    In process, window ``j`` is ``store.fine_increments(k0, k1)``.  With
+    ``fork``, a child process draws them in order, window ``j`` into slot
+    ``j % _RING_SLOTS`` of a shared anonymous ``mmap``, and writes one
+    byte to the ``full`` pipe per window; before it draws over a slot it
+    reads one byte from the ``free`` pipe, which :meth:`release` writes.
+    The child exits after its last window, or on EOF.  Window ``j`` is then
+    a view of its slot, valid until :meth:`release`.  Once the ``full``
+    pipe reads EOF the child is gone, and the windows left are drawn in
+    process: the same bits.  So are all of them if the fork fails.
+    """
+
+    def __init__(self, store: BrownianStore, plan: list, fork: bool):
+        self.store, self.plan = store, plan
+        self.pid, self.producing, self.received = None, False, 0
+        if not fork:
+            return
+        self.slot_values = max(_STREAM_VALUES, store.num_paths * store.dim_w)
+        self.ring = mmap.mmap(-1, _RING_SLOTS * self.slot_values * 8)
+        free_r, self.free_w = os.pipe()
+        self.full_r, full_w = os.pipe()
+        cores = _other_cores()
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:  # the producer; it never returns
+            try:
+                self._produce(free_r, full_w, cores)
+            finally:
+                os._exit(0)
+        os.close(free_r)
+        os.close(full_w)
+        if pid is None:
+            os.close(self.free_w)
+            os.close(self.full_r)
+        self.pid, self.producing = pid, pid is not None
+
+    def _produce(self, free_r: int, full_w: int, cores) -> None:
+        """The producer's loop, run in the child on ``cores`` where given.
+
+        Left to itself, the scheduler can keep the producer on its
+        parent's core, woken there by every slot handed back, while
+        another core idles; the parent then waits its turn.
+        """
+        os.close(self.free_w)
+        os.close(self.full_r)
+        if cores:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cores)
+        for j, (k0, _) in enumerate(self.plan):
+            if j >= _RING_SLOTS and not os.read(free_r, 1):
+                return  # the walk was closed
+            self.store._draw(k0, self._slot(j))
+            os.write(full_w, b"\0")
+
+    def _slot(self, j: int) -> np.ndarray:
+        k0, k1 = self.plan[j]
+        return np.ndarray(
+            (self.store.num_paths, k1 - k0, self.store.dim_w),
+            buffer=self.ring, offset=(j % _RING_SLOTS) * self.slot_values * 8,
+            order="F",
+        )
+
+    def window(self, j: int) -> np.ndarray:
+        if self.producing and os.read(self.full_r, 1):
+            self.received += 1
+            return self._slot(j)
+        self.producing = False  # in process, or the producer died
+        return self.store.fine_increments(*self.plan[j])
+
+    def release(self, j: int) -> None:
+        """Hand window ``j``'s slot back to the producer."""
+        if self.producing and j + _RING_SLOTS < len(self.plan):
+            # a dead producer is found by the next read
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self.free_w, b"\0")
+
+    def close(self) -> None:
+        """Close the pipes and reap the producer, killed first unless it
+        delivered every window."""
+        if self.pid is None:
+            return
+        os.close(self.free_w)
+        os.close(self.full_r)
+        if self.received < len(self.plan):
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
 
 
 def sample_fine_increments(

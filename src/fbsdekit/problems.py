@@ -20,19 +20,21 @@ The decoupled reference advances by one call per fine step,
 ``ProblemSpec.reference_step(t, x, dw, h)`` with ``x: (n, dim_x)``,
 ``dw: (n, dim_w)`` and a float step ``h``, returning the Euler state
 ``x + b(t, x, u, v) h + sigma(t, x, u) dw`` of shape ``(n, dim_x)``, where
-``u`` and ``v`` are the analytic fields at ``(t, x)``.
+``u`` and ``v`` are the analytic fields at ``(t, x)``.  It reads them at
+each coarse node with ``ProblemSpec.analytic_fields(t, x)``, both in one
+call.
 
 The solver takes its coefficients bound to one step's states,
 ``ProblemSpec.at(t, x)``: ``b(y, z)``, ``f(y, z)`` and ``diffusion(y)``,
 the last an action of ``sigma(t, x, y)`` with ``apply(w)`` (``sigma w``,
 shape ``(n, dim_x)``), ``gradient(g)`` (``g^T sigma``, shape
 ``(n, dim_w)``) and ``finite()``.  By default these compose the callables
-above.  A problem may carry a :class:`ClosedForm` that restates both the
-reference step and ``at`` and shares work between the coefficients:
-example1 and example2 do.  Their ``at`` computes the state-only terms of
-the driver once per step, on its first call, and applies their scalar
-times identity diffusions elementwise, without forming the
-``(n, dim_x, dim_w)`` matrices.  Each of their formulas of ``b``,
+above.  A problem may carry a :class:`ClosedForm` that restates the
+reference step, ``at`` and the fields and shares work between the
+coefficients: example1 and example2 do.  Their ``at`` computes the
+state-only terms of the driver once per step, on its first call, and
+applies their scalar times identity diffusions elementwise, without
+forming the ``(n, dim_x, dim_w)`` matrices.  Each of their formulas of ``b``,
 ``sigma``, ``f``, ``u`` and ``v`` is written once: the step calls it, and
 the public callables evaluate through ``at`` and one function of both
 fields, so these closed forms equal the composition by construction.  A
@@ -66,19 +68,22 @@ __all__ = [
 class ClosedForm:
     """A problem's coefficients written out to share work between them.
 
-    ``step(t, x, dw, h)`` and ``at(t, x)`` must return, bit for bit, what
-    :meth:`ProblemSpec.reference_step` and :meth:`ProblemSpec.at` compose
+    ``step(t, x, dw, h)``, ``at(t, x)`` and ``fields(t, x)`` must return,
+    bit for bit, what :meth:`ProblemSpec.reference_step`,
+    :meth:`ProblemSpec.at` and :meth:`ProblemSpec.analytic_fields` compose
     from ``coefficients``, the ``(b, sigma, f, analytic_u, analytic_v)``
     they restate: the same formulas, the same operand order in every
     product, the same association in every sum, and the association
-    ``x + drift * h + sigma dw`` of the step.  example1 and example2 keep
-    this by construction, as their callables are built from the formulas
-    the closed form calls; a closed form written by hand must keep it
-    itself.  A spec built with other callables drops it as stale.
+    ``x + drift * h + sigma dw`` of the step.  ``fields`` gives ``(u, v)``
+    in one call.  example1 and example2 keep this by construction, as
+    their callables are built from the formulas the closed form calls; a
+    closed form written by hand must keep it itself.  A spec built with
+    other callables drops it as stale.
     """
 
     step: Callable
     at: Callable
+    fields: Callable
     coefficients: tuple
 
 
@@ -176,6 +181,12 @@ class ProblemSpec:
         drift = coefficients.b(u_vals, self.analytic_v(t, x))
         return x + drift * h + coefficients.diffusion(u_vals).apply(dw)
 
+    def analytic_fields(self, t, x):
+        """``(u(t, x), v(t, x))``, the analytic fields at ``(t, x)``."""
+        if self.closed_form is not None:
+            return self.closed_form.fields(t, x)
+        return self.analytic_u(t, x), self.analytic_v(t, x)
+
     def at(self, t, x):
         """The coefficients at time ``t`` bound to the states ``x``.
 
@@ -222,7 +233,9 @@ def _closed_form_problem(name, x0, T, g, grad_g, fields, at, step):
         name=name, dim_w=dim, x0=x0, horizon=T,
         b=b, sigma=sigma, f=f, g=g, grad_g=grad_g,
         analytic_u=analytic_u, analytic_v=analytic_v,
-        closed_form=ClosedForm(step, at, (b, sigma, f, analytic_u, analytic_v)),
+        closed_form=ClosedForm(
+            step, at, fields, (b, sigma, f, analytic_u, analytic_v)
+        ),
     )
 
 

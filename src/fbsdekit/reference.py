@@ -14,6 +14,7 @@ same increments, the error metrics below are strong (pathwise) errors:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,11 @@ def simulate_reference(
 ) -> PathBatch:
     """Euler-decoupled reference paths, recorded at the coarse nodes.
 
-    Each fine step is one ``problem.reference_step`` call.  A non-finite
-    state raises :class:`NumericalFailure` at the first coarse node it
-    reaches, with that coarse ``step`` and the first bad ``path``.
+    Each fine step is one ``problem.reference_step`` call, and each
+    coarse node's ``y`` and ``z`` come from one ``problem.analytic_fields``
+    call.  A non-finite state raises :class:`NumericalFailure` at the first
+    coarse node it reaches, with that coarse ``step`` and the first bad
+    ``path``.
 
     Walks ``grid`` on the store, whose horizon must equal the grid's exactly;
     the walk caches the grid's coarse increments, so a following
@@ -61,22 +64,23 @@ def simulate_reference(
     state = paths_fastest((num_paths, dim))
     state[...] = problem.x0
     x_nodes[:, 0] = state
-    for i, k0, window in store._walk(grid.n):
-        k1 = k0 + window.shape[1]
-        for k in range(k0, k1):
-            state = problem.reference_step(
-                k * h_fine, state, window[:, k - k0, :], h_fine
-            )
-        del window  # freed before the next window is drawn
-        if k1 == (i + 1) * span:  # coarse step i is done
-            _check_state(state, i, "reference state")
-            x_nodes[:, i + 1] = state
+    # closed at once if a step fails, which ends the walk's producer
+    with contextlib.closing(store._walk(grid.n)) as walk:
+        for i, k0, window in walk:
+            k1 = k0 + window.shape[1]
+            for k in range(k0, k1):
+                state = problem.reference_step(
+                    k * h_fine, state, window[:, k - k0, :], h_fine
+                )
+            del window  # dropped before the next window is requested
+            if k1 == (i + 1) * span:  # coarse step i is done
+                _check_state(state, i, "reference state")
+                x_nodes[:, i + 1] = state
 
     y_nodes = paths_fastest((num_paths, grid.n + 1))
     z_nodes = paths_fastest((num_paths, grid.n + 1, dim_w))
     for i, t in enumerate(grid.nodes):
-        y_nodes[:, i] = problem.analytic_u(t, x_nodes[:, i])
-        z_nodes[:, i] = problem.analytic_v(t, x_nodes[:, i])
+        y_nodes[:, i], z_nodes[:, i] = problem.analytic_fields(t, x_nodes[:, i])
     return PathBatch(x=x_nodes, y=y_nodes, z=z_nodes)
 
 

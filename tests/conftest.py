@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import fbsdekit
+from fbsdekit import brownian
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,3 +49,29 @@ def run_child():
         )
 
     return run
+
+
+@pytest.fixture
+def forked_walks(monkeypatch):
+    """Every Brownian walk forks a draw producer, whatever its size, the
+    core count and ``FBSDE_THREADS``; returns the list of producer pids."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(brownian, "_FORK_NORMALS", 0)
+    monkeypatch.setattr(brownian, "_producer_allowed", lambda: True)
+    return pids
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

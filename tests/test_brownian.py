@@ -1,11 +1,16 @@
 """Tests for time grids and the Philox-keyed Brownian store."""
 
+import os
+import signal
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import assert_no_child
+from fbsdekit import brownian
 from fbsdekit.brownian import (
     PathBatch,
     coarsen_increments,
@@ -13,6 +18,10 @@ from fbsdekit.brownian import (
     sample_fine_increments,
 )
 from fbsdekit.errors import InvalidArgument
+
+
+# missing or non-finite: each is rejected with the rule's own message
+NOT_A_NUMBER = [None, float("nan"), float("inf"), -float("inf")]
 
 
 class TestTimeGrid:
@@ -39,6 +48,18 @@ class TestTimeGrid:
     def test_invalid_arguments(self, horizon, n):
         with pytest.raises(InvalidArgument):
             make_time_grid(horizon, n)
+
+    @pytest.mark.parametrize("n", NOT_A_NUMBER)
+    def test_missing_or_non_finite_step_count_rejected(self, n):
+        # the rule's own message, not a bare TypeError, ValueError or
+        # OverflowError from int()
+        with pytest.raises(InvalidArgument, match="step count must be a positive"):
+            make_time_grid(0.25, n)
+
+    @pytest.mark.parametrize("horizon", NOT_A_NUMBER)
+    def test_missing_or_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(InvalidArgument, match="horizon must be positive"):
+            make_time_grid(horizon, 4)
 
 
 # A small store, pinned value for value: a numpy release that changes the
@@ -142,6 +163,10 @@ class TestStore:
         with pytest.raises(InvalidArgument, match="horizon must be positive"):
             sample_fine_increments(7, 2, 4, 1, None)
 
+    def test_missing_path_count_rejected(self):
+        with pytest.raises(InvalidArgument, match="num_paths must be a positive"):
+            sample_fine_increments(7, None, 4, 1, 0.25)
+
     def test_moments_at_experiment_scale(self):
         # 4 standard errors for the mean; 1% relative for the variance.
         horizon, fine_n, num_paths = 0.25, 20480, 15000
@@ -231,6 +256,161 @@ class TestCoarsen:
         store = sample_fine_increments(17, 4000, 64, 1, 0.25)
         coarse = coarsen_increments(store, 4)
         assert np.allclose(coarse.var(), 0.25 / 4, rtol=0.05)
+
+
+def walked(store, n):
+    """Copies of every ``(i, k0, window)`` of one walk, then the coarse
+    increments it cached."""
+    windows = [(i, k0, window.copy()) for i, k0, window in store._walk(n)]
+    return windows, store._coarse_cache[n]
+
+
+def assert_same_walk(a, b):
+    (windows_a, coarse_a), (windows_b, coarse_b) = a, b
+    assert [w[:2] for w in windows_a] == [w[:2] for w in windows_b]
+    for (_, _, wa), (_, _, wb) in zip(windows_a, windows_b):
+        assert np.array_equal(wa, wb)
+    assert np.array_equal(coarse_a, coarse_b)
+
+
+class TestProducer:
+    """Walks of a forked draw producer against walks drawn in process.
+
+    ``forked_walks`` lowers the gate so that every walk forks; the store
+    below has 8-step coarse steps on ``n = 8``.
+    """
+
+    @staticmethod
+    def store():
+        return sample_fine_increments(6, 30, 64, 4, 0.25)
+
+    @pytest.mark.parametrize("steps", [None, 3], ids=["whole", "split"])
+    def test_same_windows_and_coarse_increments(self, forked_walks, monkeypatch,
+                                                steps):
+        # 3-step windows split every coarse step; either way the ring of
+        # four slots is reused
+        if steps:
+            monkeypatch.setattr(brownian, "_STREAM_VALUES", steps * 30 * 4)
+        forked = walked(self.store(), 8)
+        assert len(forked_walks) == 1
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: False)
+        assert_same_walk(forked, walked(self.store(), 8))
+        assert len(forked_walks) == 1
+        assert_no_child()
+
+    def test_interleaved_walks_of_one_step_windows(self, forked_walks,
+                                                   monkeypatch):
+        # three producers and the parent outnumber the cores; each walk
+        # hands 256 one-step windows through its four slots, and a slot
+        # handed back too early would show as a changed window
+        monkeypatch.setattr(brownian, "_STREAM_VALUES", 1)
+        stores = [sample_fine_increments(seed, 30, 256, 4, 0.25)
+                  for seed in (1, 2, 3)]
+        walks = [store._walk(8) for store in stores]
+        for steps in zip(*walks):
+            for store, (i, k0, window) in zip(stores, steps):
+                assert np.array_equal(window, store.fine_increments(k0, k0 + 1))
+        assert [next(walk, None) for walk in walks] == [None] * 3  # each ends
+        assert len(forked_walks) == 3
+        assert_no_child()
+
+    def test_windows_valid_until_the_next_is_requested(self, forked_walks):
+        # a window is a view of a ring slot that is drawn over later
+        views = [window for _, _, window in self.store()._walk(8)]
+        assert forked_walks
+        assert not np.array_equal(views[0], self.store().fine_increments(0, 8))
+        assert_no_child()
+
+    def test_closed_walk_leaves_no_child(self, forked_walks):
+        walk = self.store()._walk(8)
+        next(walk)
+        next(walk)
+        walk.close()
+        assert len(forked_walks) == 1
+        assert_no_child()
+
+    def test_killed_producer_gives_the_same_windows(self, forked_walks,
+                                                    monkeypatch):
+        # the producer is at most four windows ahead when it is killed
+        # during window 1, so the parent draws windows 5 to 7 itself
+        store = self.store()
+        fine_increments = brownian.BrownianStore.fine_increments
+        drawn_here = []
+
+        def counted(self, k0, k1):
+            drawn_here.append(k0)
+            return fine_increments(self, k0, k1)
+
+        monkeypatch.setattr(brownian.BrownianStore, "fine_increments", counted)
+        windows = []
+        for j, (i, k0, window) in enumerate(store._walk(8)):
+            windows.append((i, k0, window.copy()))
+            if j == 1:
+                os.kill(forked_walks[0], signal.SIGKILL)
+        assert drawn_here[-3:] == [40, 48, 56]
+        assert_no_child()
+        killed = (windows, store._coarse_cache[8])
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: False)
+        assert_same_walk(killed, walked(self.store(), 8))
+
+    @pytest.mark.parametrize("paths,fine_n,dim_w", [
+        (30, 64, 4), (128, 2048, 4), (1000, 64, 3), (4000, 16, 1),
+    ])
+    def test_ring_bounded_whatever_the_store_size(self, forked_walks, monkeypatch,
+                                                 paths, fine_n, dim_w):
+        # tracemalloc cannot see the shared mmap, so its size is recorded
+        lengths = []
+
+        def recorded(fileno, length, *args, **kwargs):
+            lengths.append(length)
+            return mmap(fileno, length, *args, **kwargs)
+
+        mmap = brownian.mmap.mmap
+        monkeypatch.setattr(brownian, "mmap", types.SimpleNamespace(mmap=recorded))
+        coarsen_increments(sample_fine_increments(3, paths, fine_n, dim_w, 0.25), 2)
+        assert lengths == [4 * brownian._STREAM_VALUES * 8]
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable cores")
+    def test_producer_keeps_off_the_parent_core(self, forked_walks, monkeypatch):
+        usable = os.sched_getaffinity(0)
+        others = brownian._other_cores()
+        assert others < usable and len(others) == len(usable) - 1
+        monkeypatch.setattr(brownian, "_other_cores", lambda: {max(usable)})
+        walk = self.store()._walk(8)
+        next(walk)  # window 0 is drawn, so the producer has pinned itself
+        assert os.sched_getaffinity(forked_walks[0]) == {max(usable)}
+        walk.close()
+        assert_no_child()
+
+    def test_walk_forks_from_the_gate_size_on(self, forked_walks, monkeypatch):
+        normals = 30 * 64 * 4
+        monkeypatch.setattr(brownian, "_FORK_NORMALS", normals + 1)
+        coarsen_increments(self.store(), 8)
+        assert forked_walks == []
+        monkeypatch.setattr(brownian, "_FORK_NORMALS", normals)
+        coarsen_increments(self.store(), 8)
+        assert len(forked_walks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("threads,cores,allowed", [
+        (None, 2, True), ("2", 2, True), ("4", 8, True), ("1", 2, False),
+        (None, 1, False), ("2", 1, False), ("many", 2, False),
+    ])
+    def test_producer_gate(self, monkeypatch, threads, cores, allowed):
+        if threads is None:
+            monkeypatch.delenv("FBSDE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FBSDE_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert brownian._producer_allowed() is allowed
+        if allowed:
+            monkeypatch.delattr(os, "fork", raising=False)
+            assert brownian._producer_allowed() is False
 
 
 class TestLayout:

@@ -474,6 +474,37 @@ class TestThreadIndependence:
                 assert pools[1] > 1, f"FBSDE_THREADS=4 ran {compared}"
             assert outputs[0] == outputs[1], f"{run}: {compared}"
 
+    # every walk crosses the lowered gate; stderr ends with the fork count
+    PRODUCER_PROBE = (
+        "import os, sys; from fbsdekit import brownian, cli; "
+        "brownian._FORK_NORMALS = 1; fork, forks = os.fork, []; "
+        "os.fork = lambda: forks.append(1) or fork(); "
+        "rc = cli.main(sys.argv[1:]); print(len(forks), file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+
+    def test_rows_identical_with_and_without_the_producer(self, run_child):
+        # FBSDE_THREADS=1 keeps the draws in process; at 2 a forked
+        # producer draws them wherever a second core is usable
+        runs = [
+            ["run", "--problem", "example1", "--N", "4", "--M", "2",
+             "--paths", "300", "--fine-n", "256", "--seed", "5"],
+            ["sweep", "--sweep", "N", "--values", "2,4,8", "--problem", "example2",
+             "--M", "2", "--paths", "500", "--fine-n", "64", "--seed", "5"],
+        ]
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        for run in runs:
+            outputs, forks = [], []
+            for threads in ("1", "2"):
+                child = run_child(["-c", self.PRODUCER_PROBE, *run], threads)
+                outputs.append(strip_wall(child.stdout))
+                forks.append(int(child.stderr.split()[-1]))
+            assert forks[0] == 0
+            if cores > 1 and hasattr(os, "fork"):
+                assert forks[1] == 1, f"{run}: one walk, one producer"
+            assert outputs[0] == outputs[1], run
+
     CAPS_PROBE = (
         "import json, os, fbsdekit.cli; "
         f"print(json.dumps({{v: os.environ.get(v) for v in {THREAD_CAP_VARS!r}}}))"

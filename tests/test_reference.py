@@ -1,11 +1,13 @@
 """Tests for reference simulation, error metrics, and rate fitting."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_child
 from fbsdekit import brownian
 from fbsdekit.brownian import (
     BrownianStore,
@@ -134,6 +136,52 @@ class TestSimulateReference:
         for a, b in zip(whole, run()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("steps", [None, 3], ids=["whole", "split"])
+    def test_same_nodes_with_a_producer(self, forked_walks, monkeypatch, steps):
+        # a forked producer draws the windows, also 3-step windows that
+        # split each eight-step coarse step
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 4)
+
+        def run():
+            store = sample_fine_increments(6, 30, 32, 4, problem.horizon)
+            ref = simulate_reference(problem, store, grid)
+            return ref.x, ref.y, ref.z, coarsen_increments(store, 4)
+
+        if steps:
+            monkeypatch.setattr(brownian, "_STREAM_VALUES", steps * 30 * 4)
+        forked = run()
+        assert len(forked_walks) == 1
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: False)
+        for a, b in zip(forked, run()):
+            assert np.array_equal(a, b)
+        assert len(forked_walks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("factory", [example1_problem, example2_problem])
+    def test_one_fields_call_per_node(self, factory):
+        # the readout takes y and z from one call of the closed form's
+        # fields, and they equal analytic_u and analytic_v bit for bit
+        problem = factory()
+        fields, nodes = problem.closed_form.fields, []
+
+        def counted(t, x):
+            nodes.append(t)
+            return fields(t, x)
+
+        counting = dataclasses.replace(
+            problem,
+            closed_form=dataclasses.replace(problem.closed_form, fields=counted),
+        )
+        assert counting.closed_form.fields is counted
+        grid = make_time_grid(problem.horizon, 4)
+        store = sample_fine_increments(4, 20, 16, problem.dim_w, problem.horizon)
+        ref = simulate_reference(counting, store, grid)
+        assert nodes == list(grid.nodes)
+        for i, t in enumerate(grid.nodes):
+            assert np.array_equal(ref.y[:, i], problem.analytic_u(t, ref.x[:, i]))
+            assert np.array_equal(ref.z[:, i], problem.analytic_v(t, ref.x[:, i]))
+
     def test_requires_analytic_solution(self):
         problem = ProblemSpec(
             name="bare",
@@ -150,7 +198,10 @@ class TestSimulateReference:
         with pytest.raises(UnsupportedProblem):
             simulate_reference(problem, store, make_time_grid(0.25, 4))
 
-    def test_blow_up_reported_at_its_coarse_step_and_path(self):
+    @staticmethod
+    def blow_up():
+        """A problem whose paths 3 and 7 blow up from t = 0.1, and a store."""
+
         def b(t, x, y, z):
             out = np.zeros_like(x)
             if t >= 0.1:
@@ -170,13 +221,26 @@ class TestSimulateReference:
             analytic_u=lambda t, x: x[:, 0].copy(),
             analytic_v=lambda t, x: np.ones((x.shape[0], 1)),
         )
-        store = sample_fine_increments(1, 10, 64, 1, 0.25)
+        return problem, sample_fine_increments(1, 10, 64, 1, 0.25)
+
+    def test_blow_up_reported_at_its_coarse_step_and_path(self):
+        problem, store = self.blow_up()
         # fine step 26 (t = 0.1015625) is the first with t >= 0.1; it lies
         # in coarse step 3 of 8, which ends at node 4
         with pytest.raises(NumericalFailure) as err:
             simulate_reference(problem, store, make_time_grid(0.25, 8))
         assert (err.value.step, err.value.path) == (3, 3)
         assert "node 4" in str(err.value)
+
+    def test_blow_up_reaps_the_producer(self, forked_walks):
+        # the failure closes the walk mid-way, which ends its producer,
+        # while the traceback held in err still refers to the walk
+        problem, store = self.blow_up()
+        with pytest.raises(NumericalFailure) as err:
+            simulate_reference(problem, store, make_time_grid(0.25, 8))
+        assert len(forked_walks) == 1
+        assert_no_child()
+        assert err.value.step == 3
 
     def test_incompatible_grid(self):
         problem = example2_problem()

@@ -26,7 +26,13 @@ of every entry, with the Python and numpy versions (and scipy's, where it
 imports), the ``FBSDE_THREADS`` setting, a digest of the package's sources
 and ``blas_pins``: whether the package found the thread-count symbols of
 numpy's bundled OpenBLAS, which it pins to one thread around each
-least-squares solve.  Point ``PYTHONPATH`` at another checkout's ``src``
+least-squares solve.  It also records ``draw_producer``: whether the gate
+of the Brownian walk lets a walk fork a draw producer under this
+``FBSDE_THREADS`` and core count (false for sources without one).  The
+``e1-reference`` commands draw 10.5 M normals per walk and cross the
+gate's size, so ``--compare`` of manifests made at ``FBSDE_THREADS=1``
+and ``=2`` on a machine of two cores or more covers both the in-process
+and the forked draws.  Point ``PYTHONPATH`` at another checkout's ``src``
 to make its manifest with the same commands.
 
 ``--compare`` prints the names of the entries whose hashes differ, or that
@@ -165,8 +171,10 @@ def provenance():
     import numpy
 
     import fbsdekit
+    import fbsdekit.brownian
     import fbsdekit.regression
 
+    gate = getattr(fbsdekit.brownian, "_producer_allowed", None)
     regression = fbsdekit.regression
     if hasattr(regression, "_BLAS_POOL"):
         pool = regression._BLAS_POOL
@@ -183,6 +191,7 @@ def provenance():
         "FBSDE_THREADS": os.environ.get("FBSDE_THREADS"),
         "fbsdekit_sources": digest.hexdigest(),
         "blas_pins": {"numpy": pool is not None},
+        "draw_producer": bool(gate and gate()),
     }
     with contextlib.suppress(ImportError):
         import scipy
