@@ -11,31 +11,35 @@ solutions, strong error metrics, convergence-rate fits, and evaluators
 for the convergence constants of the underlying contraction analysis are
 included, plus the ``fbsde`` experiment CLI.
 
-``FBSDE_THREADS``, when set, caps the OpenMP/BLAS thread pools.  The caps
-are assigned here, before anything imports numpy, and override inherited
-values.  Results do not depend on them where numpy bundles its own
-OpenBLAS (its Linux wheels from PyPI), whose pool the least-squares solves
-pin to one thread; with another BLAS they are reproducible per thread
-count.
+The OpenMP/BLAS thread pools run one thread: ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``NUMEXPR_NUM_THREADS``
+are set to 1 here, before anything imports numpy, overriding inherited
+values.  The least-squares solves are small and many, and pin numpy's
+bundled OpenBLAS (its Linux wheels from PyPI) to one thread anyway, so a
+larger pool would only cost its start at import and its restart after
+every fork.  A library user who imports ``fbsdekit`` before numpy gets a
+one-thread BLAS too; one who imports numpy first keeps the pool it
+started, and the solves still pin it, so results do not depend on its
+size.  With another BLAS they are reproducible per thread count.
 
 The reference and the coarsening read the Brownian store in windows of
-at most 2^16 values.  A walk of 2^23 normals or more, where ``os.fork``
+at most 2^16 values.  A walk of 2^19 normals or more, where ``os.fork``
 exists and a second core is usable, forks one producer process that draws
-the windows ahead while this process steps; ``FBSDE_THREADS=1`` keeps the
-draws in process.  The windows are the same bits either way, so no output
-depends on it.
+the windows ahead while this process steps.  ``FBSDE_THREADS`` has that
+one role: unset or above 1 lets a walk fork, and ``FBSDE_THREADS=1``
+keeps the draws in process.  The windows are the same bits either way, so
+no output depends on it.
 """
 
 import os
 
-if "FBSDE_THREADS" in os.environ:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[_var] = os.environ["FBSDE_THREADS"]
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
 
 from .brownian import (
     BrownianStore,

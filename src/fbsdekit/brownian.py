@@ -23,11 +23,13 @@ the walk caches the coarse sums it forms.  A walk that draws at least
 core (``FBSDE_THREADS`` unset or above 1), forks a producer: a child
 process that draws the windows ahead of the walk, on the cores other than
 the parent's, into a ring of ``_RING_SLOTS`` shared slots while the parent
-sums and steps.  Every
-other walk draws its windows in process, as does a walk whose producer
-has died, for the windows left.  The windows are the same bits either
-way.  A yielded window is valid only until the next one is requested:
-its slot is then drawn over.
+sums and steps.  Where ``fbsdekit`` is imported before numpy, the BLAS
+pool runs one thread (see the package docstring): the producer is then
+forked from a process of one thread and no pool restarts after the fork,
+which keeps the gate low.  Every other walk draws its windows in process,
+as does a walk whose producer has died, for the windows left.  The
+windows are the same bits either way.  A yielded window is valid only
+until the next one is requested: its slot is then drawn over.
 
 Each increment is rounded to the nearest multiple of ``2**-40``.  The
 rounding perturbs an increment by at most ``~5e-13`` (many orders below
@@ -70,9 +72,11 @@ _QUANTUM = 2.0**-40
 _STREAM_VALUES = 1 << 16
 
 # A walk forks a producer from this many normals on: about twice what a
-# fork costs the process afterwards (page faults, the BLAS pool restart),
-# at some 17 ns per normal.
-_FORK_NORMALS = 1 << 23
+# producer costs the walk, at some 17 ns per normal.  With the one-thread
+# BLAS pool (see the package docstring) no pool restarts after the fork:
+# the call takes about 0.8 ms and the parent then meets about 1,000 more
+# page faults, and a walk with its ring and pipes breaks even near 2^18.
+_FORK_NORMALS = 1 << 19
 
 # Windows a producer may draw ahead of the walk.
 _RING_SLOTS = 4

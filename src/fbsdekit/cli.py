@@ -9,9 +9,10 @@ convergence conditions for a constants file.
 
 Configuration precedence is defaults < ``--config`` JSON file < flags.
 Output floats use ``repr`` so identical runs produce byte-identical rows
-(wall-clock milliseconds are the only varying column).  ``FBSDE_THREADS``
-caps the linear-algebra thread pools; results do not depend on it where
-numpy bundles its own OpenBLAS (see the package docstring).
+(wall-clock milliseconds are the only varying column).  The
+linear-algebra thread pools run one thread, and ``FBSDE_THREADS=1`` only
+keeps the Brownian draws in process; results depend on neither (see the
+package docstring).
 """
 
 from __future__ import annotations

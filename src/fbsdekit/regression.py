@@ -98,7 +98,9 @@ _BLAS_POOL = _openblas_pool()
 def _one_blas_thread():
     """Run the block with :data:`_BLAS_POOL`, if found, at one thread, then
     give it its previous count back.  The count is process-global, so this
-    must not be entered from worker threads.
+    must not be entered from worker threads.  Importing ``fbsdekit`` before
+    numpy already starts the pool at one thread; the pin is for a process
+    that imported numpy first, whose pool may be larger.
     """
     if _BLAS_POOL is None:
         yield

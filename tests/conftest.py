@@ -16,9 +16,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # directory pytest was started from.
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(fbsdekit.__file__)))
 
-# ``fbsdekit`` assigns these from FBSDE_THREADS, overriding inherited
-# values; the children still start without them, so that each runs at the
-# cap it is given and nothing else.  ``inherit`` puts some back.
+# ``fbsdekit`` sets these to 1, overriding inherited values; the children
+# still start without them, so that each sees only what it is given.
+# ``inherit`` puts some back.
 THREAD_CAP_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -30,7 +30,9 @@ THREAD_CAP_VARS = (
 def child_env(threads, inherit=None):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_CAP_VARS}
     env.update(inherit or {})
-    env["FBSDE_THREADS"] = threads
+    env.pop("FBSDE_THREADS", None)
+    if threads is not None:
+        env["FBSDE_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (PACKAGE_PARENT, os.environ.get("PYTHONPATH")))
     )
@@ -40,7 +42,8 @@ def child_env(threads, inherit=None):
 @pytest.fixture
 def run_child():
     """Run ``python ARGS`` from the repo root with ``FBSDE_THREADS=threads``
-    and the extra variables in ``inherit``."""
+    (unset where ``threads`` is ``None``) and the extra variables in
+    ``inherit``."""
 
     def run(args, threads, inherit=None):
         return subprocess.run(

@@ -229,8 +229,12 @@ class TestCoarsen:
         fresh = coarsen_increments(sample_fine_increments(21, 10, 64, 2, 0.25), 8)
         assert np.array_equal(derived, fresh)
 
-    def test_one_window_alive_at_a_time(self):
-        # each streamed window (4 MiB here) is freed before the next is drawn
+    def test_one_window_alive_at_a_time(self, monkeypatch):
+        # each streamed window is freed before the next is drawn; the walk
+        # draws in process, where tracemalloc sees its windows, and numpy's
+        # lazily imported ``random`` is loaded before tracing starts
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: False)
+        np.random.Generator
         store = sample_fine_increments(3, 128, 2048, 4, 0.25)
         tracemalloc.start()
         try:
@@ -238,7 +242,7 @@ class TestCoarsen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 128 * 1024 * 4 * 8
+        assert peak < 1.5 * brownian._STREAM_VALUES * 8
 
     def test_non_divisor_raises(self):
         store = sample_fine_increments(1, 4, 20, 1, 0.25)
@@ -393,6 +397,25 @@ class TestProducer:
         monkeypatch.setattr(brownian, "_FORK_NORMALS", normals)
         coarsen_increments(self.store(), 8)
         assert len(forked_walks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("paths,fine_n,dim_w", [
+        (8192, 64, 4), (4000, 1024, 1),
+    ])
+    def test_benchmark_walks_cross_the_gate(self, monkeypatch, paths, fine_n, dim_w):
+        # the e1-fit walk (2^21 normals) and each e2-sweep walk fork
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: True)
+        forks, init = [], brownian._Draws.__init__
+
+        def recorded(self, store, plan, fork):
+            forks.append(fork)
+            init(self, store, plan, fork)
+
+        monkeypatch.setattr(brownian._Draws, "__init__", recorded)
+        walk = sample_fine_increments(7, paths, fine_n, dim_w, 0.25)._walk(8)
+        next(walk)
+        walk.close()
+        assert forks == [True]
         assert_no_child()
 
     @pytest.mark.parametrize("threads,cores,allowed", [

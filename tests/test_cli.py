@@ -446,32 +446,44 @@ class TestNoScipy:
 
 
 class TestThreadIndependence:
-    # numpy's OpenBLAS pool size after import; OpenBLAS caps it at the cores
-    POOL_PROBE = (
-        "import sys; from fbsdekit import cli, regression; "
-        "pool = regression._BLAS_POOL; "
-        "print(pool[0]() if pool else 0, file=sys.stderr); "
-        "sys.exit(cli.main(sys.argv[1:]))"
-    )
+    # numpy's OpenBLAS pool size after import; OpenBLAS caps it at the cores.
+    # With ``numpy_first`` the child imports numpy before ``fbsdekit``, so
+    # numpy starts the pool an inherited cap asks for.
+    @staticmethod
+    def pool_probe(numpy_first):
+        return (
+            ("import numpy; " if numpy_first else "")
+            + "import sys; from fbsdekit import cli, regression; "
+            "pool = regression._BLAS_POOL; "
+            "print(pool[0]() if pool else 0, file=sys.stderr); "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
 
     def test_rows_identical_across_thread_caps(self, run_child):
         # the second run fits 136 features, a basis whose Cholesky factor
-        # OpenBLAS would split across threads
+        # OpenBLAS would split across threads; at FBSDE_THREADS=4 numpy is
+        # loaded first under an inherited cap of 4, so only the per-solve
+        # pin keeps the pool at one thread in the solves
         runs = [
             ["--problem", "example2", "--N", "4", "--M", "2",
              "--paths", "500", "--fine-n", "64", "--seed", "5"],
             ["--problem", "example1", "--dim", "15", "--N", "2", "--M", "2",
              "--paths", "3000", "--fine-n", "4", "--seed", "7"],
         ]
+        children = [("1", False, None),
+                    ("4", True, {"OPENBLAS_NUM_THREADS": "4"})]
         for run in runs:
             outputs, pools = [], []
-            for threads in ("1", "4"):
-                child = run_child(["-c", self.POOL_PROBE, "run", *run], threads)
+            for threads, numpy_first, inherit in children:
+                child = run_child(["-c", self.pool_probe(numpy_first), "run", *run],
+                                  threads, inherit)
                 outputs.append(strip_wall(child.stdout))
                 pools.append(int(child.stderr.split()[0]))
             compared = f"{pools[0]} against {pools[1]} threads"
-            if (os.cpu_count() or 1) >= 2 and regression._BLAS_POOL:
-                assert pools[1] > 1, f"FBSDE_THREADS=4 ran {compared}"
+            if regression._BLAS_POOL:
+                assert pools[0] == 1, f"fbsdekit imported first ran {compared}"
+                if (os.cpu_count() or 1) >= 2:
+                    assert pools[1] > 1, f"numpy imported first ran {compared}"
             assert outputs[0] == outputs[1], f"{run}: {compared}"
 
     # every walk crosses the lowered gate; stderr ends with the fork count
@@ -513,16 +525,18 @@ class TestThreadIndependence:
     def test_inherited_caps_do_not_override_fbsde_threads(self, run_child,
                                                           monkeypatch):
         for var in THREAD_CAP_VARS:
-            monkeypatch.setenv(var, "1")
-        seen = json.loads(run_child(["-c", self.CAPS_PROBE], "4").stdout)
-        assert seen == dict.fromkeys(THREAD_CAP_VARS, "4")
+            monkeypatch.setenv(var, "4")
+        for threads in ("4", None):
+            seen = json.loads(run_child(["-c", self.CAPS_PROBE], threads).stdout)
+            assert seen == dict.fromkeys(THREAD_CAP_VARS, "1"), threads
 
     def test_fbsde_threads_overrides_a_cap_the_child_inherits(self, run_child):
-        inherited = dict.fromkeys(THREAD_CAP_VARS, "1")
-        seen = json.loads(
-            run_child(["-c", self.CAPS_PROBE], "4", inherit=inherited).stdout
-        )
-        assert seen == dict.fromkeys(THREAD_CAP_VARS, "4")
+        inherited = dict.fromkeys(THREAD_CAP_VARS, "4")
+        for threads in ("4", None):
+            seen = json.loads(
+                run_child(["-c", self.CAPS_PROBE], threads, inherit=inherited).stdout
+            )
+            assert seen == dict.fromkeys(THREAD_CAP_VARS, "1"), threads
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="one core: the pools start no threads anyway")
@@ -534,4 +548,39 @@ class TestThreadIndependence:
             "print(next(line.split()[1] for line in open('/proc/self/status') "
             "if line.startswith('Threads:')))"
         )
-        assert run_child(["-c", probe], "1").stdout.strip() == "1"
+        inherited = dict.fromkeys(THREAD_CAP_VARS, "4")
+        for threads in ("1", "4", None):
+            child = run_child(["-c", probe], threads, inherit=inherited)
+            assert child.stdout.strip() == "1", threads
+
+    # two commands, so that the second walk forks after the first one's
+    # solves have used BLAS; stderr ends with the thread count at each fork
+    FORK_THREADS_PROBE = (
+        "import os, sys; from fbsdekit import brownian, cli; "
+        "brownian._FORK_NORMALS = 1; fork, seen = os.fork, []; "
+        "count = lambda: next(line.split()[1] for line in "
+        "open('/proc/self/status') if line.startswith('Threads:')); "
+        "os.fork = lambda: seen.append(count()) or fork(); "
+        "rc = [cli.main(sys.argv[1:] + ['--seed', s]) for s in ('5', '6')]; "
+        "print('forks at', *seen, file=sys.stderr); sys.exit(max(rc))"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_producer_forks_from_a_one_thread_process(self, run_child):
+        # so Python's warning on a fork with other threads alive (3.12 on)
+        # cannot fire; it would be an error here
+        run = ["run", "--problem", "example1", "--N", "4", "--M", "2",
+               "--paths", "300", "--fine-n", "256"]
+        inherited = dict.fromkeys(THREAD_CAP_VARS, "4")
+        child = run_child(["-W", "error:This process:DeprecationWarning", "-c",
+                           self.FORK_THREADS_PROBE, *run], "4", inherit=inherited)
+        last = child.stderr.splitlines()[-1]
+        assert last.startswith("forks at")
+        seen = last.split()[2:]
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        if cores > 1:
+            assert len(seen) == 2, "one producer per command"
+        assert seen == ["1"] * len(seen)

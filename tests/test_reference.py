@@ -87,9 +87,13 @@ class TestSimulateReference:
         for nodes in (ref.x, ref.y, ref.z):
             assert nodes.strides[0] == nodes.itemsize
 
-    def test_one_window_alive_at_a_time(self):
+    def test_one_window_alive_at_a_time(self, monkeypatch):
         # each streamed window is freed before the next is drawn, so one
-        # window (4 MiB here) bounds the transient memory
+        # window bounds the transient memory; the walk draws in process,
+        # where tracemalloc sees its windows, and numpy's lazily imported
+        # ``random`` is loaded before tracing starts
+        monkeypatch.setattr(brownian, "_producer_allowed", lambda: False)
+        np.random.Generator
         problem = example1_problem()
         store = sample_fine_increments(3, 128, 2048, 4, problem.horizon)
         tracemalloc.start()
@@ -98,7 +102,7 @@ class TestSimulateReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 128 * 1024 * 4 * 8
+        assert peak < 1.5 * brownian._STREAM_VALUES * 8
 
     def test_populates_coarse_cache(self, monkeypatch):
         # after a reference on 8 steps, coarsening to 8 and 4 steps draws

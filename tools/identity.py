@@ -26,14 +26,20 @@ of every entry, with the Python and numpy versions (and scipy's, where it
 imports), the ``FBSDE_THREADS`` setting, a digest of the package's sources
 and ``blas_pins``: whether the package found the thread-count symbols of
 numpy's bundled OpenBLAS, which it pins to one thread around each
-least-squares solve.  It also records ``draw_producer``: whether the gate
-of the Brownian walk lets a walk fork a draw producer under this
-``FBSDE_THREADS`` and core count (false for sources without one).  The
-``e1-reference`` commands draw 10.5 M normals per walk and cross the
-gate's size, so ``--compare`` of manifests made at ``FBSDE_THREADS=1``
-and ``=2`` on a machine of two cores or more covers both the in-process
-and the forked draws.  Point ``PYTHONPATH`` at another checkout's ``src``
-to make its manifest with the same commands.
+least-squares solve.  ``blas_threads`` is that pool's thread count after
+the run (``None`` where they were not found).  The script imports
+``fbsdekit`` before numpy, as the ``fbsde`` command does, so the
+manifest runs on the pool the command runs on.  It also records
+``draw_producer``: whether the gate of the Brownian walk lets a walk fork
+a draw producer under this ``FBSDE_THREADS`` and core count (false for
+sources without one).  The walks of every workload command cross the
+gate's size (``e1-reference`` 10.5 M normals, ``e2-sweep`` 4.1 M and
+``e1-fit`` 2.1 M), and so do those of the direct run and the checkpoint
+runs; the ``--dim 15`` run's 180 k normals stay under it.  So
+``--compare`` of manifests made at ``FBSDE_THREADS=1`` and ``=2`` on a
+machine of two cores or more covers both the in-process and the forked
+draws.  Point ``PYTHONPATH`` at another checkout's ``src`` to make its
+manifest with the same commands.
 
 ``--compare`` prints the names of the entries whose hashes differ, or that
 only one manifest has, and exits 1 if there are any.  A manifest takes
@@ -58,6 +64,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+# before numpy, which the workloads import: fbsdekit sets its BLAS caps first
+with contextlib.suppress(ImportError):  # --compare needs no package
+    import fbsdekit  # noqa: E402, F401
 import workloads  # noqa: E402  (the benchmark's own command lists)
 
 SEEDS = (7, 3)
@@ -191,6 +200,7 @@ def provenance():
         "FBSDE_THREADS": os.environ.get("FBSDE_THREADS"),
         "fbsdekit_sources": digest.hexdigest(),
         "blas_pins": {"numpy": pool is not None},
+        "blas_threads": pool[0]() if pool else None,
         "draw_producer": bool(gate and gate()),
     }
     with contextlib.suppress(ImportError):
