@@ -121,7 +121,7 @@ def _positive_horizon(horizon) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid ``t_i = i * h`` on ``[0, T]`` with ``h = T / n``."""
+    """Uniform grid ``t_i = T * (i / n)`` on ``[0, T]`` with step ``h = T / n``."""
 
     horizon: float
     n: int
@@ -130,13 +130,17 @@ class TimeGrid:
 
 
 def make_time_grid(horizon: float, n: int) -> TimeGrid:
-    """Build the uniform grid with ``n`` steps on ``[0, horizon]``."""
+    """Build the uniform grid with ``n`` steps on ``[0, horizon]``.
+
+    Node ``i`` is ``horizon * (i / n)``.  The quotient ``i / n`` is
+    correctly rounded and equals ``(r * i) / (r * n)``, so the nodes of the
+    ``n``-step grid are exactly every ``r``-th node of the ``r * n``-step
+    grid, bit for bit; the last node is ``horizon`` itself.
+    """
     horizon = _positive_horizon(horizon)
     n = _positive_int(n, "step count")
-    h = horizon / n
-    nodes = h * np.arange(n + 1, dtype=np.float64)
-    nodes[-1] = horizon  # guard against the last multiply drifting off T
-    return TimeGrid(horizon=horizon, n=n, h=h, nodes=nodes)
+    nodes = horizon * (np.arange(n + 1, dtype=np.float64) / n)
+    return TimeGrid(horizon=horizon, n=n, h=horizon / n, nodes=nodes)
 
 
 @dataclass(frozen=True)

@@ -211,13 +211,12 @@ def _emit(line, path):
 def _sweep(options, sweep, values) -> int:
     """One CSV row per value of N or M, from one Brownian store.
 
-    When the N values form a divisor chain, one reference at the largest
-    N is strided to each coarser grid; otherwise each N gets its own.  One
-    reference at the lcm of the values would give the same rows, but its
-    nodes can far outnumber the largest N: N = 31 and 32 need 992, and
-    N = 5 and 4096 at fine_n 20480 need all 20480.  Every value's config is
-    checked before any reference is simulated.  Each row is appended to
-    ``--out`` as it is made, so a failing value keeps the rows before it.
+    From the largest N down, each N strides the reference of a larger N
+    it divides, and simulates its own where there is none; grid nodes
+    stride exactly (see ``make_time_grid``), so each row depends on its own
+    N alone.  Every value's config is checked before any reference is
+    simulated.  Each row is appended to ``--out`` as it is made, so a
+    failing value keeps the rows before it.
     """
     problem = _build_problem(options)
     n_values = values if sweep == "N" else [options["N"]]
@@ -232,15 +231,11 @@ def _sweep(options, sweep, values) -> int:
         for v in values
     ]
 
-    n_max = max(grids)
-    if all(n_max % n == 0 for n in grids):
-        base = simulate_reference(problem, store, grids[n_max])
-        references = {n: base.strided(n_max // n) for n in grids}
-    else:
-        references = {
-            n: simulate_reference(problem, store, grids[n])
-            for n in sorted(grids, reverse=True)
-        }
+    references = {}
+    for n in sorted(grids, reverse=True):
+        base = next((b for b in references if b % n == 0), None)
+        references[n] = (simulate_reference(problem, store, grids[n]) if base is None
+                         else references[base].strided(base // n))
 
     print(CSV_HEADER)
     totals = []

@@ -35,6 +35,7 @@ from .brownian import (
     BrownianStore,
     PathBatch,
     TimeGrid,
+    _positive_int,
     coarsen_increments,
     make_time_grid,
     paths_fastest,
@@ -78,8 +79,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n_steps", "num_iterations", "num_paths", "fine_n"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be positive")
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.fine_n % self.n_steps != 0:
             raise InvalidArgument(
                 f"fine_n={self.fine_n} is not divisible by N={self.n_steps}: "

@@ -44,6 +44,22 @@ class TestTimeGrid:
         assert grid.nodes[-1] == 0.7
         assert len(grid.nodes) == 14
 
+    @pytest.mark.parametrize("horizon", [0.25, 0.3, 0.7, 1 / 3])
+    def test_coarser_nodes_are_an_exact_stride_of_finer_ones(self, horizon):
+        # i / n and (r * i) / (r * n) are one rational, correctly rounded
+        for n in range(1, 65):
+            nodes = make_time_grid(horizon, n).nodes
+            for r in range(2, 9):
+                fine = make_time_grid(horizon, r * n).nodes
+                assert np.array_equal(nodes, fine[::r]), (n, r)
+
+    @pytest.mark.parametrize("horizon", [0.25, 0.3, 0.7, 1 / 3])
+    def test_power_of_two_nodes_are_multiples_of_the_step(self, horizon):
+        # T / N and i / N are exact, so both forms round T * i / N once
+        for n in (2**k for k in range(13)):
+            grid = make_time_grid(horizon, n)
+            assert np.array_equal(grid.nodes, grid.h * np.arange(n + 1)), n
+
     @pytest.mark.parametrize("horizon,n", [(0.25, 0), (0.0, 4), (-1.0, 4)])
     def test_invalid_arguments(self, horizon, n):
         with pytest.raises(InvalidArgument):

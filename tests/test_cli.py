@@ -266,22 +266,28 @@ class TestSweep:
         assert [line.split(",")[2] for line in lines[1:]] == ["4", "4"]
         assert not any(line.startswith("#") for line in lines)
 
-    def test_sweep_row_matches_single_run(self, capsys):
-        base = ["--problem", "example2", "--M", "2"] + FAST
+    @pytest.mark.parametrize("values, n, flags", [
+        ("4,8", "8", FAST),
+        # N = 5 strides the 15-step reference, by three: its node times
+        # must be the 5-step grid's own to the last bit
+        ("5,15", "5", ["--paths", "300", "--fine-n", "15", "--seed", "3"]),
+    ], ids=["largest", "stride-3"])
+    def test_sweep_row_matches_single_run(self, capsys, values, n, flags):
+        base = ["--problem", "example2", "--M", "2"] + flags
         _, sweep_out, _ = run_cli(
-            capsys, ["sweep", "--sweep", "N", "--values", "4,8"] + base
+            capsys, ["sweep", "--sweep", "N", "--values", values] + base
         )
-        _, run_out, _ = run_cli(capsys, ["run", "--N", "8"] + base)
+        _, run_out, _ = run_cli(capsys, ["run", "--N", n] + base)
         sweep_rows = {
             line.split(",")[2]: strip_wall(line)
             for line in sweep_out.strip().splitlines()
             if line[0].isalpha()
         }
         run_row = strip_wall(run_out.strip().splitlines()[1])
-        assert sweep_rows["8"] == run_row
+        assert sweep_rows[n] == run_row
         # a run is the one-value N sweep: same output, no rate line
         _, one_value_out, _ = run_cli(
-            capsys, ["sweep", "--sweep", "N", "--values", "8"] + base
+            capsys, ["sweep", "--sweep", "N", "--values", n] + base
         )
         assert strip_wall(one_value_out) == strip_wall(run_out)
         assert "#" not in run_out
@@ -334,22 +340,43 @@ class TestSweep:
         code, err = outcomes.pop()
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.fixture
+    def reference_grids(self, monkeypatch):
+        """The step count of each grid ``fbsde`` simulates a reference on."""
+        grids = []
+
+        def recording(problem, store, grid):
+            grids.append(grid.n)
+            return simulate_reference(problem, store, grid)
+
+        monkeypatch.setattr(cli, "simulate_reference", recording)
+        return grids
+
     def test_every_config_checked_before_the_reference(self, capsys,
-                                                       monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return simulate_reference(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "simulate_reference", counting)
+                                                       reference_grids):
         code, _, err = run_cli(
             capsys,
             ["sweep", "--sweep", "N", "--values", "2,4", "--M", "0",
              "--problem", "constant"] + FAST,
         )
         assert code == 1 and err.startswith("error: ")
-        assert calls == []
+        assert reference_grids == []
+
+    @pytest.mark.parametrize("values, simulated", [
+        ("2,4,8,16,32", [32]),
+        ("2,4,6", [6, 4]),  # 6 is no multiple of 4; 2 strides the 6-step one
+        ("3,4,6,12", [12]),
+    ], ids=["powers-of-two", "two-simulated", "divisors-of-12"])
+    def test_a_reference_only_where_no_larger_n_is_a_multiple(
+        self, capsys, reference_grids, values, simulated
+    ):
+        code, _, _ = run_cli(
+            capsys,
+            ["sweep", "--sweep", "N", "--values", values, "--M", "1",
+             "--problem", "constant", "--paths", "50", "--fine-n", "96"],
+        )
+        assert code == 0
+        assert reference_grids == simulated
 
     def test_nondivisor_value_exits_one(self, capsys):
         code, _, err = run_cli(

@@ -1,7 +1,9 @@
 """Tests for the least-squares kernels and per-step fits."""
 
 import dataclasses
+import json
 import logging
+import textwrap
 
 import numpy as np
 import pytest
@@ -100,51 +102,56 @@ class TestSolveLinearLsq:
             solve_linear_lsq(a, y)
 
 
+@pytest.mark.skipif(regression._BLAS_POOL is None,
+                    reason="no OpenBLAS thread-count symbols for numpy in this build")
 class TestOneBlasThread:
     """Each solve runs numpy's bundled OpenBLAS pool at one thread and gives
-    back the count it found."""
+    back the count it found.  The checks run in a child process: the count
+    of two they start from would leave a second OpenBLAS thread in this
+    one, which every later draw producer would be forked with."""
 
-    @pytest.fixture(autouse=True)
-    def two_threads(self):
-        if regression._BLAS_POOL is None:
-            pytest.skip("no OpenBLAS thread-count symbols for numpy in this build")
-        before = self.counts()
-        _, set_ = regression._BLAS_POOL
+    # argv[1] is "solve" or "raise"; prints the counts seen in the
+    # factorization, before the solve and after it
+    PROBE = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from fbsdekit import regression
+        from fbsdekit.errors import RankDeficiencyError
+        get, set_ = regression._BLAS_POOL
         set_(2)  # a count the pin has to change and give back
-        yield
-        set_(before["numpy"])
-
-    @staticmethod
-    def counts():
-        get, _ = regression._BLAS_POOL
-        return {"numpy": get()}
-
-    @pytest.fixture
-    def inside(self, monkeypatch):
-        seen = []
-        cholesky = np.linalg.cholesky
-
+        inside, cholesky = [], np.linalg.cholesky
         def recording(*args, **kwargs):
-            seen.append(self.counts())
+            inside.append(get())
             return cholesky(*args, **kwargs)
+        # the factorization as regression sees it
+        regression.np.linalg.cholesky = recording
+        before = get()
+        if sys.argv[1] == "solve":
+            rng = np.random.default_rng(5)
+            regression.solve_linear_lsq(rng.normal(size=(300, 4)),
+                                        rng.normal(size=300))
+        else:
+            try:
+                regression.solve_linear_lsq(np.ones((30, 3)),
+                                            np.linspace(0.0, 1.0, 30), 0.0)
+            except RankDeficiencyError:
+                pass
+            else:
+                sys.exit("the rank-deficient solve did not raise")
+        print(json.dumps({"inside": inside, "before": before, "after": get()}))
+    """)
 
-        # the factorization as ``regression`` sees it
-        monkeypatch.setattr(regression.np.linalg, "cholesky", recording)
-        return seen
+    @classmethod
+    def check(cls, run_child, solve):
+        seen = json.loads(run_child(["-c", cls.PROBE, solve], "1").stdout)
+        assert seen["inside"] == [1]
+        assert seen["after"] == seen["before"]
 
-    def test_pins_the_solve_and_restores_the_counts(self, inside):
-        rng = np.random.default_rng(5)
-        before = self.counts()
-        solve_linear_lsq(rng.normal(size=(300, 4)), rng.normal(size=300))
-        assert inside == [{"numpy": 1}]
-        assert self.counts() == before
+    def test_pins_the_solve_and_restores_the_counts(self, run_child):
+        self.check(run_child, "solve")
 
-    def test_restores_the_counts_when_the_solve_raises(self, inside):
-        before = self.counts()
-        with pytest.raises(RankDeficiencyError):
-            solve_linear_lsq(np.ones((30, 3)), np.linspace(0.0, 1.0, 30), 0.0)
-        assert inside == [{"numpy": 1}]
-        assert self.counts() == before
+    def test_restores_the_counts_when_the_solve_raises(self, run_child):
+        self.check(run_child, "raise")
 
 
 def linear_target_batch(rng, n=400, a=0.7, b=-1.3):

@@ -398,6 +398,13 @@ class TestRunMarkovianIteration:
                          method="bogus")
         with pytest.raises(InvalidArgument):
             SolverConfig(n_steps=4, num_iterations=0, num_paths=10, fine_n=16)
+        # whole positive counts only, each with the rule's own message
+        counts = {"n_steps": 4, "num_iterations": 1, "num_paths": 10, "fine_n": 16}
+        for bad in [{"n_steps": None}, {"n_steps": 2.5, "fine_n": 20},
+                    {"num_paths": 2.5}, {"n_steps": float("nan")}]:
+            with pytest.raises(InvalidArgument, match="must be a positive integer"):
+                SolverConfig(**{**counts, **bad})
+        assert type(SolverConfig(**{**counts, "n_steps": 4.0}).n_steps) is int
 
     def test_explicit_box_reaches_fitted_fields(self):
         problem = decoupled_test_problem("brownian-linear")

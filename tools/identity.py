@@ -13,6 +13,10 @@ The first form runs, in this process and against the ``fbsdekit`` found on
 - ``fbsde run`` on example1 at ``--dim 15`` (136 features; N 2, M 2, 3000
   paths, fine_n 4, seed 7), a basis large enough that an unpinned Cholesky
   factor would split across OpenBLAS threads;
+- ``fbsde sweep --sweep N --values 5,15`` and ``fbsde run --N 5`` on
+  example2 (M 2, 300 paths, fine_n 15, seed 3): N = 5 strides the
+  15-step reference by three, so a change to the grid's node times or to
+  the reference striding shows in these entries;
 - ``run_markovian_iteration`` for both methods on example1 and example2
   (N 8, M 3, 3000 paths, fine_n 256, seed 7): its ``write_checkpoint``
   file and its final paths;
@@ -35,7 +39,8 @@ a draw producer under this ``FBSDE_THREADS`` and core count (false for
 sources without one).  The walks of every workload command cross the
 gate's size (``e1-reference`` 10.5 M normals, ``e2-sweep`` 4.1 M and
 ``e1-fit`` 2.1 M), and so do those of the direct run and the checkpoint
-runs; the ``--dim 15`` run's 180 k normals stay under it.  So
+runs; the ``--dim 15`` run's 180 k normals and the N = 5 runs' 4.5 k
+stay under it.  So
 ``--compare`` of manifests made at ``FBSDE_THREADS=1`` and ``=2`` on a
 machine of two cores or more covers both the in-process and the forked
 draws.  Point ``PYTHONPATH`` at another checkout's ``src`` to make its
@@ -76,6 +81,10 @@ CHECKPOINT_RUN = {"n_steps": 8, "num_iterations": 3, "num_paths": 3000,
                   "fine_n": 256}
 LARGE_BASIS_RUN = ["run", "--problem", "example1", "--dim", "15", "--N", "2",
                    "--M", "2", "--paths", "3000", "--fine-n", "4", "--seed", "7"]
+STRIDE_FLAGS = ["--problem", "example2", "--M", "2", "--paths", "300",
+                "--fine-n", "15", "--seed", "3"]
+STRIDE_SWEEP = ["sweep", "--sweep", "N", "--values", "5,15", *STRIDE_FLAGS]
+STRIDE_RUN = ["run", "--N", "5", *STRIDE_FLAGS]
 WEAK_EXAMPLE1 = {"kappa_y": 0.01, "kappa_z": 0.01, "sigma_bar": 0.2, "dim": 1}
 
 
@@ -157,6 +166,12 @@ def manifest_entries(workdir):
     ))
     entries.update(command_entries(
         "run example1 dim=15 seed=7", *run_command(cli, LARGE_BASIS_RUN)
+    ))
+    entries.update(command_entries(
+        "sweep example2 N=5,15 seed=3", *run_command(cli, STRIDE_SWEEP)
+    ))
+    entries.update(command_entries(
+        "run example2 N=5 seed=3", *run_command(cli, STRIDE_RUN)
     ))
     for problem in (example1_problem(), example2_problem()):
         for method in METHODS:
