@@ -15,8 +15,8 @@ process then comes in two forms:
 
 * the differentiation form evaluates ``grad_u(x)^T sigma(t, x, u(x))``,
   reusing the Y-field's coefficients, and
-* the direct form is a field with one coefficient column per Brownian
-  component, evaluated by :func:`eval_u`.
+* the direct form reads component ``c`` off column ``1 + c`` of a field
+  of ``1 + dim_w`` columns, whose column 0 is the value process.
 
 Derivatives never form the feature Jacobian, which is ``(paths, P, dim)``
 and mostly zeros.  On the clamped states ``xc``, with the directions
@@ -214,7 +214,8 @@ def field_to_record(field, time_index: int) -> dict:
 
 
 def field_from_record(record: dict) -> QuadraticField:
-    """Field of a record; one with ``dim_w`` holds a ``(P, dim_w)`` matrix."""
+    """Field of a record; one with the key ``dim_w`` holds a matrix of that
+    many coefficient columns (``1 + dim_w`` for a direct-method field)."""
     if record.get("version") != _FORMAT_VERSION:
         raise InvalidArgument(f"unknown field record version {record.get('version')}")
     coeffs = np.asarray(record["coeffs"], dtype=np.float64)

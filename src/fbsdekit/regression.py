@@ -18,13 +18,14 @@ iterate is evaluated once from them: ``y = phi theta``, the diffusion at
 joint loss of an iterate is a diagnostic of the method, not an input to
 it (a linearized solve is not a guaranteed descent step), and is
 computed only when the caller collects it.  ``fit_step_direct`` is the
-two-regression baseline: the gradient process is regressed from
-``h^-1 Y_next dW`` with its own coefficients, then the value process
-once from ``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1``
-regressions share one design, so they share its Gram matrix and Cholesky
-factor, and each target is solved alone with that factor.  Both fits
-also return the values of the fitted value field on the step's states,
-which the backward pass takes as the previous step's target.
+two-regression baseline: each component of the gradient process is
+regressed from ``h^-1 Y_next dW``, then the value process once from
+``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1`` regressions share
+one design, so they share its Gram matrix and Cholesky factor, and each
+target is solved alone with that factor; their solutions are the
+columns of one field, the value's first.  Both fits also return the
+values of the fitted value process on the step's states, which the
+backward pass takes as the previous step's target.
 
 The design rows are ``phi`` plus the derivative of the features along
 ``sigma dW``, formed without the feature Jacobian
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .brownian import paths_fastest
+from .brownian import _positive_int, paths_fastest
 from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
     QuadraticField,
@@ -59,7 +61,6 @@ from .fields import (
     feature_derivative,
     features,
     inside_box,
-    num_features,
 )
 
 __all__ = [
@@ -114,6 +115,13 @@ def _one_blas_thread():
         set_(previous)
 
 
+def _nonnegative_ridge(ridge) -> float:
+    """``ridge`` as a ``float``; it must be a finite real of at least 0."""
+    if not isinstance(ridge, numbers.Real) or not 0.0 <= ridge < np.inf:  # NaN too
+        raise InvalidArgument(f"ridge must be finite and nonnegative, got {ridge}")
+    return float(ridge)
+
+
 @dataclass(frozen=True)
 class RegressionConfig:
     """Knobs of the per-step fits.
@@ -128,10 +136,10 @@ class RegressionConfig:
     inner_iters: int = 3
 
     def __post_init__(self):
-        if self.ridge < 0.0:
-            raise InvalidArgument("ridge must be nonnegative")
-        if self.inner_iters < 1:
-            raise InvalidArgument("inner_iters must be at least 1")
+        object.__setattr__(self, "ridge", _nonnegative_ridge(self.ridge))
+        object.__setattr__(
+            self, "inner_iters", _positive_int(self.inner_iters, "inner_iters")
+        )
 
 
 class _NormalEquations:
@@ -148,9 +156,7 @@ class _NormalEquations:
         self.design = np.asfortranarray(design, dtype=np.float64)
         if self.design.ndim != 2:
             raise InvalidArgument(f"design {self.design.shape} is not a matrix")
-        if ridge < 0.0:
-            raise InvalidArgument("ridge must be nonnegative")
-        self.ridge = ridge
+        self.ridge = _nonnegative_ridge(ridge)
         self._factor = None
 
     def solve(self, targets) -> np.ndarray:
@@ -279,29 +285,29 @@ def fit_step_direct(
     warm_start: QuadraticField,
     cfg: RegressionConfig,
     h: float,
-) -> tuple[QuadraticField, QuadraticField, np.ndarray]:
+) -> tuple[QuadraticField, np.ndarray]:
     """Two-regression baseline: fit the gradient process from the
     martingale increment ``h^-1 Y_next dW`` (componentwise), then the
     value process in one regression against ``Y_next + h f(t, X, Y_next, Z)``:
     the driver takes the next-step values and the fitted gradient process.
 
-    ``warm_start`` supplies the truncation box of the returned fields.
-    Returns ``(value field, gradient field, y)``; the gradient field has
-    one coefficient column per Brownian component, and ``y`` is the value
-    field on ``x``, equal to ``eval_u(value field, x)``.
+    ``warm_start`` supplies the truncation box of the returned field.
+    Returns ``(field, y)``: the field's coefficients are ``(P, 1 + dim_w)``,
+    column 0 the value process and column ``1 + c`` component ``c`` of
+    the gradient process, and ``y`` is the value process on ``x``, the
+    clamped features times column 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y_next = np.asarray(y_next, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
-    dim = warm_start.dim
-    dim_w = dw.shape[1]
-    phi = features(clamp(x, warm_start), dim)
+    phi = features(clamp(x, warm_start), warm_start.dim)
 
     normal = _NormalEquations(phi, cfg.ridge)
-    beta = np.empty((num_features(dim), dim_w))
-    for comp in range(dim_w):
-        beta[:, comp] = normal.solve(y_next * dw[:, comp] / h)
-    targets = y_next + h * problem.at(t, x).f(y_next, phi @ beta)
-    alpha = normal.solve(targets)
-    return (replace(warm_start, coeffs=alpha), replace(warm_start, coeffs=beta),
-            phi @ alpha)
+    coeffs = np.empty((phi.shape[1], 1 + dw.shape[1]))
+    for comp in range(dw.shape[1]):
+        coeffs[:, 1 + comp] = normal.solve(y_next * dw[:, comp] / h)
+    # the column views give the bits of products with separate arrays;
+    # the columns of phi @ coeffs would not
+    targets = y_next + h * problem.at(t, x).f(y_next, phi @ coeffs[:, 1:])
+    coeffs[:, 0] = normal.solve(targets)
+    return replace(warm_start, coeffs=coeffs), phi @ coeffs[:, 0]

@@ -6,8 +6,9 @@ through the time steps refitting the fields against the simulated paths.
 One loop of ``M + 1`` forward sweeps serves both methods: sweep ``m``
 feeds fit ``m`` and also gives iteration ``m - 1``'s error report, and
 sweep ``M + 1`` gives the final paths that error metrics compare against
-a reference solution.  The direct method carries its gradient fields next
-to the value fields; a sweep without them differentiates the value field.
+a reference solution.  Both methods keep one field per step: the sweep
+differentiates a scalar field, and reads a direct field's ``1 + dim_w``
+columns as the value process and then the gradient process.
 
 The truncation box of all fields is chosen once, after the first forward
 sweep, from the 0.05%..99.95% quantile range of the simulated states: it
@@ -43,7 +44,9 @@ from .brownian import (
 )
 from .errors import InvalidArgument, NumericalFailure, _check_state
 from .fields import (
+    clamp,
     eval_u,
+    features,
     field_from_record,
     field_to_record,
     grad_u,
@@ -96,7 +99,6 @@ class IterationResult:
     """Fields of every iteration plus the paths of the final sweep."""
 
     fields: list  # fields[m][i], m = 0..M-1, i = 0..N-1
-    zfields: Optional[list]  # direct method only, same indexing
     final_paths: PathBatch
     per_iteration_errors: Optional[list] = None
 
@@ -106,23 +108,22 @@ def forward_simulate(
     fields_prev,
     increments,
     grid: TimeGrid,
-    zfields_prev=None,
 ) -> PathBatch:
     """Forward Euler sweep driven by the previous iteration's fields.
 
-    At each node the value process is read from ``fields_prev``, and the
-    gradient process from ``zfields_prev`` when given (direct method) or
-    else by differentiating the value field.  The terminal node uses the
-    terminal condition and its gradient instead.
+    At each node a scalar field gives the value process and, through its
+    gradient, the gradient process; a direct field's columns give them
+    from one feature matrix, column 0 and then the ``dim_w`` others.  The
+    terminal node uses the terminal condition and its gradient instead.
     """
     if len(fields_prev) != grid.n:
         raise InvalidArgument(
             f"need {grid.n} per-step fields, got {len(fields_prev)}"
         )
-    if zfields_prev is not None and len(zfields_prev) != grid.n:
-        raise InvalidArgument(
-            f"need {grid.n} per-step gradient fields, got {len(zfields_prev)}"
-        )
+    columns = {f.coeffs.shape[1:] for f in fields_prev} - {(), (1 + problem.dim_w,)}
+    if columns:
+        raise InvalidArgument(f"a field of {min(columns)[0]} coefficient "
+                              f"columns, not 1 + dim_w = {1 + problem.dim_w}")
     num_paths = increments.shape[0]
     dim, dim_w = problem.dim_x, problem.dim_w
     x = paths_fastest((num_paths, grid.n + 1, dim))
@@ -133,13 +134,19 @@ def forward_simulate(
     for i in range(grid.n):
         state = x[:, i]
         coefficients = problem.at(grid.nodes[i], state)
-        y[:, i] = eval_u(fields_prev[i], state)
-        diffusion = coefficients.diffusion(y[:, i])
-        if zfields_prev is None:
+        fld = fields_prev[i]
+        if fld.coeffs.ndim == 1:
+            y[:, i] = eval_u(fld, state)
+            diffusion = coefficients.diffusion(y[:, i])
             # eval_v_diff, with the value and diffusion already at hand
-            z[:, i] = diffusion.gradient(grad_u(fields_prev[i], state))
+            z[:, i] = diffusion.gradient(grad_u(fld, state))
         else:
-            z[:, i] = eval_u(zfields_prev[i], state)
+            # products with column views have the bits of fit_step_direct's;
+            # the columns of phi @ coeffs would not
+            phi = features(clamp(state, fld), dim)
+            y[:, i] = phi @ fld.coeffs[:, 0]
+            z[:, i] = phi @ fld.coeffs[:, 1:]
+            diffusion = coefficients.diffusion(y[:, i])
         drift = coefficients.b(y[:, i], z[:, i])
         x[:, i + 1] = state + drift * h + diffusion.apply(increments[:, i])
         _check_state(x[:, i + 1], i)
@@ -169,27 +176,25 @@ def backward_pass(
     and below it the values the fit one step later returned.  A fit's
     :class:`NumericalFailure` leaves here with ``step=i``.
 
-    Returns ``(fields, zfields)``: the value fields, and the gradient
-    fields of the direct method (``None`` for differentiation).
+    Returns the list of the ``N`` step fields, scalar for differentiation
+    and of ``1 + dim_w`` columns for the direct method.
     """
     if method not in METHODS:
         raise InvalidArgument(f"method must be one of {METHODS}")
+    fit = fit_step_direct if method == "direct" else fit_step_differentiation
     n = grid.n
     y_next = problem.g(paths.x[:, n])
     fields = [None] * n
-    zfields = [None] * n if method == "direct" else None
     for i in range(n - 1, -1, -1):
-        args = (problem, grid.nodes[i], paths.x[:, i], y_next, increments[:, i],
-                warm_fields[i], cfg)
         try:
-            if zfields is None:
-                fields[i], y_next = fit_step_differentiation(*args, h=grid.h)
-            else:
-                fields[i], zfields[i], y_next = fit_step_direct(*args, h=grid.h)
+            fields[i], y_next = fit(
+                problem, grid.nodes[i], paths.x[:, i], y_next, increments[:, i],
+                warm_fields[i], cfg, h=grid.h,
+            )
         except NumericalFailure as exc:
             exc.step = i
             raise
-    return fields, zfields
+    return fields
 
 
 def _auto_box(paths: PathBatch):
@@ -248,7 +253,6 @@ def run_markovian_iteration(
         box = None  # determined after the first forward sweep
 
     all_fields = []
-    all_zfields = []
     per_iteration = [] if reference_paths is not None else None
 
     # zero fields evaluate to zero whatever their box; the placeholder box
@@ -256,11 +260,10 @@ def run_markovian_iteration(
     # Both methods start by differentiating them, which gives Z = 0.
     start_box = box or (problem.x0 - 3.0, problem.x0 + 3.0)
     fields = [zero_field(problem.dim_x, *start_box)] * cfg.n_steps
-    zfields = None
 
     try:
         for m in range(1, cfg.num_iterations + 2):
-            paths = forward_simulate(problem, fields, base_coarse, grid, zfields)
+            paths = forward_simulate(problem, fields, base_coarse, grid)
             if per_iteration is not None and m > 1:
                 per_iteration.append(compute_errors(paths, reference_paths, grid))
             if m > cfg.num_iterations:
@@ -268,12 +271,11 @@ def run_markovian_iteration(
             if box is None:
                 box = _auto_box(paths)
                 fields = [zero_field(problem.dim_x, box[0], box[1])] * cfg.n_steps
-            fields, zfields = backward_pass(
+            fields = backward_pass(
                 problem, paths, base_coarse, grid, fields, cfg.regression,
                 method=cfg.method,
             )
             all_fields.append(fields)
-            all_zfields.append(zfields)
             del paths  # freed before the next sweep is built
     except NumericalFailure as exc:
         exc.iteration = m
@@ -281,7 +283,6 @@ def run_markovian_iteration(
         raise
     return IterationResult(
         fields=all_fields,
-        zfields=all_zfields if cfg.method == "direct" else None,
         final_paths=paths,
         per_iteration_errors=per_iteration,
     )
@@ -290,72 +291,63 @@ def run_markovian_iteration(
 def write_checkpoint(result: IterationResult, path) -> None:
     """Serialize every per-(iteration, step) field as one JSON line.
 
-    The first line is the header record ``{"iterations": M, "steps": N,
-    "gradient_fields": bool}``; the value fields follow, then the gradient
-    fields of the direct method.
+    The first line is the header record ``{"iterations": M, "steps": N}``;
+    the fields follow, iteration by iteration, each record carrying its
+    ``iteration`` and ``time_index``.
     """
-    header = {
-        "iterations": len(result.fields),
-        "steps": len(result.fields[0]),
-        "gradient_fields": result.zfields is not None,
-    }
+    header = {"iterations": len(result.fields), "steps": len(result.fields[0])}
     with open(path, "w") as handle:
         handle.write(json.dumps(header) + "\n")
-        for iterations in (result.fields, result.zfields or []):
-            for m, per_step in enumerate(iterations, start=1):
-                for i, fld in enumerate(per_step):
-                    record = field_to_record(fld, time_index=i)
-                    record["iteration"] = m
-                    handle.write(json.dumps(record) + "\n")
+        for m, per_step in enumerate(result.fields, start=1):
+            for i, fld in enumerate(per_step):
+                record = field_to_record(fld, time_index=i)
+                record["iteration"] = m
+                handle.write(json.dumps(record) + "\n")
 
 
 def read_checkpoint(path):
-    """Load a checkpoint back into ``(fields, zfields)`` nested lists.
+    """Load a checkpoint back into the nested list ``fields[m][i]``.
 
-    The file must start with :func:`write_checkpoint`'s header record.  The
-    value table, and the gradient table exactly when the header says there
-    is one, must hold every ``(iteration, time_index)`` in ``1..M x
-    0..N-1`` once and nothing else; otherwise :class:`InvalidArgument`
-    names the missing header, the first duplicated key, or the first missing
-    or extra key.  ``zfields`` is ``None`` when the checkpoint holds no
-    gradient fields.
+    The file must start with :func:`write_checkpoint`'s header record, and
+    its field records must hold every ``(iteration, time_index)`` in
+    ``1..M x 0..N-1`` once and nothing else.  Otherwise
+    :class:`InvalidArgument` names the missing header, the file's line
+    number of a line that is no field record, the first duplicated key,
+    or the first missing or extra key.
     """
-    tables = {"value": {}, "gradient": {}}
+    table = {}
     with open(path) as handle:
-        header = json.loads(handle.readline() or "{}")
+        try:
+            header = json.loads(handle.readline())
+        except ValueError:  # an empty file too
+            header = None
         if not isinstance(header, dict) or {
             key: type(value) for key, value in header.items()
-        } != {"iterations": int, "steps": int, "gradient_fields": bool}:
+        } != {"iterations": int, "steps": int}:
             raise InvalidArgument(f"checkpoint {path} lacks its header record")
-        for line in handle:
-            record = json.loads(line)
-            kind = "gradient" if "dim_w" in record else "value"
-            key = (record["iteration"], record["time_index"])
-            if key in tables[kind]:
-                raise InvalidArgument(
-                    f"checkpoint {path} has a duplicate {kind} field at "
-                    f"(iteration, time_index) = {key}"
-                )
-            tables[kind][key] = field_from_record(record)
+        for number, line in enumerate(handle, start=2):
+            try:
+                record = json.loads(line)
+                key = (record["iteration"], record["time_index"])
+                if {type(k) for k in key} != {int}:
+                    raise TypeError(f"(iteration, time_index) = {key} are not ints")
+                fld = field_from_record(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                why = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise InvalidArgument(f"checkpoint {path} line {number} is no field "
+                                      f"record ({type(exc).__name__}: {why})") from exc
+            if key in table:
+                raise InvalidArgument(f"checkpoint {path} has a duplicate field at "
+                                      f"(iteration, time_index) = {key}")
+            table[key] = fld
 
     iterations, steps = header["iterations"], header["steps"]
     keys = [(m, i) for m in range(1, iterations + 1) for i in range(steps)]
-    expected = {"value": keys, "gradient": keys if header["gradient_fields"] else []}
-    for kind, table in tables.items():
-        missing = [key for key in expected[kind] if key not in table]
-        extra = sorted(set(table).difference(expected[kind]))
-        if missing or extra:
-            raise InvalidArgument(
-                f"checkpoint {path} has "
-                f"{'no' if missing else 'an extra'} {kind} field at "
-                f"(iteration, time_index) = {(missing + extra)[0]}"
-            )
-
-    def to_nested(table):
-        return [
-            [table[(m, i)] for i in range(steps)]
-            for m in range(1, iterations + 1)
-        ]
-
-    zfields = to_nested(tables["gradient"]) if header["gradient_fields"] else None
-    return to_nested(tables["value"]), zfields
+    missing = [key for key in keys if key not in table]
+    extra = sorted(set(table).difference(keys))
+    if missing or extra:
+        raise InvalidArgument(
+            f"checkpoint {path} has {'no' if missing else 'an extra'} field at "
+            f"(iteration, time_index) = {(missing + extra)[0]}"
+        )
+    return [[table[(m, i)] for i in range(steps)] for m in range(1, iterations + 1)]

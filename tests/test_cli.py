@@ -138,6 +138,14 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", "--method", "bogus"])
         assert code == 1
         assert "method" in err
+        # each would otherwise run: an infinite ridge swamps the Gram
+        # matrix (err_y about 1), and a NaN one reads as no ridge at all
+        small = ["run", "--problem", "example2", "--N", "4", "--M", "2", *FAST]
+        for flags in (["--ridge", "inf"], ["--ridge", "nan"],
+                      ["--inner-iters", "0"]):
+            code, out, err = run_cli(capsys, small + flags)
+            assert (code, out) == (1, "")
+            assert flags[0].lstrip("-").replace("-", "_") in err
 
     def test_incompatible_grid_exits_one(self, capsys):
         code, _, err = run_cli(

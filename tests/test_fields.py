@@ -308,8 +308,9 @@ class TestLipschitz:
         assert np.all(lhs <= lip * np.linalg.norm(xs - ys, axis=1) + 1e-12)
 
 
-# Version-1 checkpoint records, one value field and one direct-method
-# gradient field, as ``field_to_record`` writes them.
+# Version-1 checkpoint records, one differentiation field and one
+# direct-method field (value column, then one gradient column for
+# dim_w = 1), as ``field_to_record`` writes them; ``dim_w`` counts columns.
 VALUE_RECORD = (
     '{"version": 1, "time_index": 3, "dim": 2, '
     '"coeffs": [0.5, -1.25, 2.0, 0.0, 3.5, -0.75], '

@@ -419,8 +419,11 @@ class TestFitStepDifferentiationEvaluations:
         oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h)
         assert np.linalg.norm(field.coeffs - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.array_equal(y, eval_u(field, x))
-        ufield, _, y = fit_step_direct(problem, t, x, y_next, dw, warm, cfg, h=h)
-        assert np.array_equal(y, eval_u(ufield, x))
+        # the direct field's value column, as the forward sweep reads it
+        field, y = fit_step_direct(problem, t, x, y_next, dw, warm, cfg, h=h)
+        phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 4)
+        assert np.array_equal(y, phi @ field.coeffs[:, 0])
+        assert np.allclose(y, eval_u(field, x)[:, 0], rtol=1e-12, atol=0.0)
 
 
 class TestFitStepDirect:
@@ -434,16 +437,14 @@ class TestFitStepDirect:
         n = 40_000
         x = rng.normal(size=(n, 1))
         dw = np.sqrt(0.05) * rng.normal(size=(n, 1))
-        ufield, zfield, _ = fit_step_direct(
+        field, _ = fit_step_direct(
             self.problem, 0.0, x, np.full(n, 3.0), dw, self.warm, self.cfg, h=0.05
         )
-        points = np.linspace(-1.5, 1.5, 9)[:, None]
-        assert np.allclose(eval_u(ufield, points), 3.0, atol=1e-8)
+        values = eval_u(field, np.linspace(-1.5, 1.5, 9)[:, None])
+        assert np.allclose(values[:, 0], 3.0, atol=1e-8)
         # the gradient regression sees independent noise: values at
         # moderate points shrink like 1/sqrt(n)
-        assert np.max(np.abs(eval_u(zfield, points))) <= 5 * 3.0 / np.sqrt(
-            n * 0.05
-        )
+        assert np.max(np.abs(values[:, 1])) <= 5 * 3.0 / np.sqrt(n * 0.05)
 
     def test_brownian_martingale_conditional_expectations(self):
         # X = W, Y_next = X_N: exactly E[X_N | X_i] = X_i and
@@ -459,7 +460,7 @@ class TestFitStepDirect:
         y_next = paths[:, n_steps, 0]
         dw_i = coarse[:, i, :]
         h = horizon / n_steps
-        ufield, zfield, _ = fit_step_direct(
+        field, _ = fit_step_direct(
             self.problem, i * h, x_i, y_next, dw_i, self.warm, self.cfg, h=h
         )
         points = np.quantile(x_i[:, 0], [0.2, 0.35, 0.5, 0.65, 0.8])[:, None]
@@ -471,14 +472,14 @@ class TestFitStepDirect:
         leverage = np.einsum(
             "ip,pq,iq->i", phi_pts, np.linalg.inv(phi.T @ phi), phi_pts
         )
-        for field, target, truth in (
-            (ufield, y_next, points[:, 0]),
-            (zfield, y_next * dw_i[:, 0] / h, 1.0),
+        for column, target, truth in (
+            (0, y_next, points[:, 0]),
+            (1, y_next * dw_i[:, 0] / h, 1.0),
         ):
-            residual = target - np.ravel(eval_u(field, x_i))
+            residual = target - eval_u(field, x_i)[:, column]
             spread = np.sqrt(residual @ residual / (len(target) - phi.shape[1]))
             se = spread * np.sqrt(leverage)
-            deviation = np.abs(np.ravel(eval_u(field, points)) - truth)
+            deviation = np.abs(eval_u(field, points)[:, column] - truth)
             assert np.all(deviation <= 5.0 * se)
 
     def test_matches_differentiation_on_linear_model(self):
@@ -486,12 +487,13 @@ class TestFitStepDirect:
         # linear target
         rng = np.random.default_rng(9)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
-        ufield, _, _ = fit_step_direct(
+        field, _ = fit_step_direct(
             self.problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05
         )
         # the u regression sees target a + b x + b dw with dw independent
         # noise of scale 0.05; coefficients match (a, b) at MC accuracy
-        assert np.allclose(ufield.coeffs, [a, b, 0.0], atol=5 * 0.05 / np.sqrt(400))
+        assert np.allclose(field.coeffs[:, 0], [a, b, 0.0],
+                           atol=5 * 0.05 / np.sqrt(400))
 
     def test_driver_takes_next_values_and_fitted_gradient(self):
         # example2's driver y z - cos(t + x) depends on y, so only the
@@ -506,33 +508,35 @@ class TestFitStepDirect:
         dw = np.sqrt(h) * rng.normal(size=(n, 1))
         y_next = np.sin(problem.horizon + x[:, 0] + dw[:, 0])
         warm = zero_field(1, np.array([0.8]), np.array([2.2]))
-        ufield, zfield, y = fit_step_direct(
+        field, y = fit_step_direct(
             problem, t, x, y_next, dw, warm, self.cfg, h=h
         )
         phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 1)
-        z = phi @ zfield.coeffs
+        z = phi @ field.coeffs[:, 1:]
         targets = y_next + h * problem.f(t, x, y_next, z)
         expected = solve_linear_lsq(phi, targets, self.cfg.ridge)
-        assert np.array_equal(ufield.coeffs, expected)
+        assert np.array_equal(field.coeffs[:, 0], expected)
         assert np.array_equal(y, phi @ expected)
 
 
     def test_every_component_equals_its_own_regression(self):
         # dim_w = 4 columns and the value regression share one factored
-        # Gram; each equals the regression of its target alone
+        # Gram; each column equals the regression of its target alone,
+        # the value's first, whose driver takes phi @ beta
         problem, t, h, x, y_next, dw, warm = example1_batch()
-        ufield, zfield, y = fit_step_direct(
+        field, y = fit_step_direct(
             problem, t, x, y_next, dw, warm, self.cfg, h=h
         )
+        assert field.coeffs.shape == (15, 5)
         phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 4)
         beta = np.column_stack([
             solve_linear_lsq(phi, y_next * dw[:, c] / h, self.cfg.ridge)
             for c in range(4)
         ])
-        assert np.array_equal(zfield.coeffs, beta)
+        assert np.array_equal(field.coeffs[:, 1:], beta)
         targets = y_next + h * problem.f(t, x, y_next, phi @ beta)
         alpha = solve_linear_lsq(phi, targets, self.cfg.ridge)
-        assert np.array_equal(ufield.coeffs, alpha)
+        assert np.array_equal(field.coeffs[:, 0], alpha)
         assert np.array_equal(y, phi @ alpha)
 
 
@@ -542,3 +546,15 @@ class TestRegressionConfig:
             RegressionConfig(ridge=-1.0)
         with pytest.raises(InvalidArgument):
             RegressionConfig(inner_iters=0)
+        # a finite nonnegative ridge and a whole positive count only, each
+        # with its rule's own message; the normal equations share the first
+        for ridge in (np.inf, np.nan, None, "0.1"):
+            with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+                RegressionConfig(ridge=ridge)
+            with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+                solve_linear_lsq(np.eye(2), np.ones(2), ridge)
+        for inner_iters in (2.5, None, np.nan):
+            with pytest.raises(InvalidArgument, match="must be a positive integer"):
+                RegressionConfig(inner_iters=inner_iters)
+        cfg = RegressionConfig(ridge=0, inner_iters=2.0)
+        assert (type(cfg.ridge), type(cfg.inner_iters)) == (float, int)

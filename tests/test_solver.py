@@ -15,7 +15,14 @@ from fbsdekit.brownian import (
     sample_fine_increments,
 )
 from fbsdekit.errors import InvalidArgument, NumericalFailure
-from fbsdekit.fields import QuadraticField, eval_u, eval_v_diff, zero_field
+from fbsdekit.fields import (
+    QuadraticField,
+    clamp,
+    eval_u,
+    eval_v_diff,
+    features,
+    zero_field,
+)
 from fbsdekit.problems import (
     ProblemSpec,
     decoupled_test_problem,
@@ -52,6 +59,13 @@ def make_problem(drift=0.0, vol=0.0, x0=1.0, horizon=0.25):
 
 def zero_fields(n, dim=1):
     return [zero_field(dim, *BOX)] * n
+
+
+def direct_zero_fields(problem, n):
+    """``n`` zero fields of the direct method's ``1 + dim_w`` columns."""
+    fld = zero_field(problem.dim_x, problem.x0 - 3.0, problem.x0 + 3.0)
+    coeffs = np.zeros((fld.coeffs.size, 1 + problem.dim_w))
+    return [dataclasses.replace(fld, coeffs=coeffs)] * n
 
 
 class TestForwardSimulate:
@@ -146,13 +160,11 @@ class TestForwardSimulate:
         inc = coarsen_increments(
             sample_fine_increments(2, 40, 16, 4, problem.horizon), 4
         )
-        zfields = None
         if method == "direct":
-            zfields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
-            zfields = [dataclasses.replace(f, coeffs=np.zeros((15, 4)))
-                       for f in zfields]
-        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
-        paths = forward_simulate(problem, fields, inc, grid, zfields)
+            fields = direct_zero_fields(problem, 4)
+        else:
+            fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
+        paths = forward_simulate(problem, fields, inc, grid)
         for arr in (paths.x, paths.y, paths.z):
             assert arr.strides[0] == arr.itemsize
 
@@ -161,28 +173,61 @@ class TestForwardSimulate:
         lambda: decoupled_test_problem("brownian-linear"),
     ], ids=["example1", "example2", "brownian-linear"])
     def test_zero_gradient_fields_equal_differentiated_zero_fields(self, factory):
-        # the direct method's first sweep differentiates the zero value
-        # fields instead of reading zero gradient fields: the same bits
+        # the direct method's first sweep differentiates scalar zero
+        # fields instead of reading zero direct fields: the same bits
         problem = factory()
         grid = make_time_grid(problem.horizon, 8)
         inc = coarsen_increments(
             sample_fine_increments(3, 400, 64, problem.dim_w, problem.horizon), 8
         )
         fields = [zero_field(problem.dim_x, problem.x0 - 3.0, problem.x0 + 3.0)] * 8
-        zfields = [dataclasses.replace(
-            f, coeffs=np.zeros((f.coeffs.size, problem.dim_w))) for f in fields]
         differentiated = forward_simulate(problem, fields, inc, grid)
-        read = forward_simulate(problem, fields, inc, grid, zfields)
+        read = forward_simulate(problem, direct_zero_fields(problem, 8), inc, grid)
         for name in ("x", "y", "z"):
             ours, theirs = getattr(differentiated, name), getattr(read, name)
             assert np.array_equal(ours, theirs)
             assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+
+    @pytest.mark.parametrize("factory", [example1_problem, example2_problem])
+    def test_direct_field_columns_give_value_and_gradient(self, factory):
+        # one feature matrix per node: column 0 gives Y and the others Z,
+        # bit for bit as the column views' products; the box clamps paths
+        problem = factory()
+        grid = make_time_grid(problem.horizon, 4)
+        inc = coarsen_increments(
+            sample_fine_increments(3, 300, 16, problem.dim_w, problem.horizon), 4
+        )
+        rng = np.random.default_rng(4)
+        lo, hi = problem.x0 - 0.01, problem.x0 + 0.01
+        fields = []
+        for fld in direct_zero_fields(problem, 4):
+            coeffs = 0.1 * rng.normal(size=fld.coeffs.shape)
+            coeffs[0, 0] = 1.0  # Y about 1, so example1's diffusion moves
+            fields.append(QuadraticField(problem.dim_x, coeffs, lo, hi))
+        paths = forward_simulate(problem, fields, inc, grid)
+        inner = paths.x[:, 1 : grid.n]
+        assert np.any((inner < lo) | (inner > hi))
+        for i, fld in enumerate(fields):
+            phi = features(clamp(paths.x[:, i], fld), problem.dim_x)
+            assert np.array_equal(paths.y[:, i], phi @ fld.coeffs[:, 0])
+            assert np.array_equal(paths.z[:, i], phi @ fld.coeffs[:, 1:])
 
     def test_wrong_field_count(self):
         problem = make_problem()
         grid = make_time_grid(0.25, 4)
         with pytest.raises(InvalidArgument):
             forward_simulate(problem, zero_fields(3), np.zeros((2, 4, 1)), grid)
+
+    @pytest.mark.parametrize("columns", [2, 4, 6])
+    def test_direct_field_needs_one_plus_dim_w_columns(self, columns):
+        # example1 has dim_w = 4: a field of 2 or 4 columns would broadcast
+        # into Z or leave out Y
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 2)
+        fields = [dataclasses.replace(direct_zero_fields(problem, 1)[0],
+                                      coeffs=np.zeros((15, columns)))] * 2
+        with pytest.raises(InvalidArgument, match=rf"{columns} coefficient columns"):
+            forward_simulate(problem, fields, np.zeros((3, 2, 4)), grid)
 
 
 class TestBackwardPass:
@@ -195,9 +240,9 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=4, num_iterations=1, num_paths=2000, fine_n=16
         ).regression
-        fields, zfields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
-        assert zfields is None
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
         for fld in fields:
+            assert fld.coeffs.ndim == 1
             vals = eval_u(fld, np.linspace(-1.0, 1.0, 7)[:, None])
             assert np.allclose(vals, 2.0, atol=1e-7)
 
@@ -210,7 +255,7 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=1, num_iterations=1, num_paths=5000, fine_n=1
         ).regression
-        fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
         assert len(fields) == 1
         # E[W_T | W_0 = 0] = 0 and the field is evaluated only at x0 = 0
         assert abs(eval_u(fields[0], np.zeros((1, 1)))[0]) <= 5.0 / np.sqrt(5000)
@@ -237,7 +282,7 @@ class TestBackwardPass:
         cfg = SolverConfig(
             n_steps=n, num_iterations=1, num_paths=lam, fine_n=16
         ).regression
-        fields, _ = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
         tol = 5.0 / np.sqrt(lam)
         for i in range(1, n):  # step 0 sees the degenerate single point x0
             xs = np.quantile(paths.x[:, i, 0], [0.25, 0.5, 0.75])[:, None]
@@ -312,7 +357,7 @@ class TestRunMarkovianIteration:
         grid = make_time_grid(0.25, 4)
         inc = coarsen_increments(store, 4)
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
-        fields, _ = backward_pass(
+        fields = backward_pass(
             problem, paths, inc, grid, zero_fields(4),
             cfg.regression,
         )
@@ -335,18 +380,22 @@ class TestRunMarkovianIteration:
         result = run_markovian_iteration(problem, cfg)
         assert len(result.fields) == 3
         assert all(len(per_step) == 5 for per_step in result.fields)
-        assert result.zfields is None
+        assert all(f.coeffs.shape == (3,) for per_step in result.fields
+                   for f in per_step)
 
-    def test_direct_method_returns_zfields(self):
+    def test_direct_method_fields_hold_value_and_gradient_columns(self):
+        # one field per (iteration, step): P rows, 1 + dim_w columns
         problem = example2_problem()
         cfg = SolverConfig(
             n_steps=4, num_iterations=2, num_paths=300, fine_n=16,
             method="direct",
         )
         result = run_markovian_iteration(problem, cfg)
-        assert result.zfields is not None
-        assert len(result.zfields) == 2
-        assert all(len(per_step) == 4 for per_step in result.zfields)
+        assert len(result.fields) == 2
+        assert all(len(per_step) == 4 for per_step in result.fields)
+        assert all(f.coeffs.shape == (3, 2) for per_step in result.fields
+                   for f in per_step)
+        assert not hasattr(result, "zfields")
 
     def test_zero_coupling_iterations_identical(self):
         # forward law does not react to the fields, so later iterations
@@ -478,6 +527,8 @@ class TestRunMarkovianIteration:
         assert len(sweeps) == 4 and sweeps[-1]() is result.final_paths
 
     def test_checkpoint_round_trip(self, tmp_path):
+        # a direct checkpoint is one table: a header, then M x N records of
+        # (P, 1 + dim_w) fields
         from fbsdekit.solver import read_checkpoint, write_checkpoint
 
         problem = example2_problem()
@@ -486,16 +537,16 @@ class TestRunMarkovianIteration:
         result = run_markovian_iteration(problem, cfg)
         path = tmp_path / "fields.jsonl"
         write_checkpoint(result, path)
-        fields, zfields = read_checkpoint(path)
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"iterations": 2, "steps": 3}
+        assert len(lines) == 1 + 2 * 3
+        fields = read_checkpoint(path)
         assert len(fields) == 2 and len(fields[0]) == 3
-        assert len(zfields) == 2 and len(zfields[0]) == 3
         for m in range(2):
             for i in range(3):
+                assert fields[m][i].coeffs.shape == (3, 2)
                 assert np.array_equal(
                     fields[m][i].coeffs, result.fields[m][i].coeffs
-                )
-                assert np.array_equal(
-                    zfields[m][i].coeffs, result.zfields[m][i].coeffs
                 )
 
     @pytest.mark.parametrize("box", [([-1.0], [1.0]), ([-1.0, np.nan], [1.0, 1.0])],
@@ -513,16 +564,43 @@ class TestRunMarkovianIteration:
         with pytest.raises(InvalidArgument):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("dropped, message", [
-        (lambda r: r.get("iteration") == 1, r"no value field at .* = \(1, 0\)"),
-        (lambda r: "dim_w" in r and (r.get("iteration"), r["time_index"]) == (2, 1),
-         r"no gradient field at .* = \(2, 1\)"),
-        (lambda r: r.get("iteration") == 3, r"no value field at .* = \(3, 0\)"),
-        (lambda r: r.get("time_index") == 2, r"no value field at .* = \(1, 2\)"),
-        (lambda r: "iterations" in r, "lacks its header record"),
-    ], ids=["first-iteration", "middle-gradient-record", "last-iteration",
-            "last-step", "header"])
-    def test_incomplete_checkpoint_rejected(self, tmp_path, dropped, message):
+    @staticmethod
+    def _drop(dropped):
+        """Edit of a checkpoint's lines that leaves out the records
+        ``dropped`` holds for; it drops at least one."""
+        def edit(lines):
+            kept = [line for line in lines if not dropped(json.loads(line))]
+            assert len(kept) < len(lines)
+            return "".join(line + "\n" for line in kept)
+        return edit
+
+    @staticmethod
+    def _fifth_line(change):
+        """Edit of a checkpoint's lines that applies ``change`` to the
+        record on line 5."""
+        def edit(lines):
+            record = json.loads(lines[4])
+            change(record)
+            lines[4] = json.dumps(record)
+            return "".join(line + "\n" for line in lines)
+        return edit
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop(lambda r: r.get("iteration") == 1), r"no field at .* = \(1, 0\)"),
+        (_drop(lambda r: r.get("iteration") == 3), r"no field at .* = \(3, 0\)"),
+        (_drop(lambda r: r.get("time_index") == 2), r"no field at .* = \(1, 2\)"),
+        (_drop(lambda r: "iterations" in r), "lacks its header record"),
+        (lambda lines: "\n".join(lines)[:-20],
+         r"line 10 is no field record \(JSONDecodeError: "),
+        (lambda lines: "\n".join(lines) + "\n\n",
+         r"line 11 is no field record \(JSONDecodeError: Expecting value\)"),
+        (_fifth_line(lambda r: r.pop("iteration")),
+         r"line 5 is no field record \(KeyError: 'iteration'\)"),
+        (_fifth_line(lambda r: r.update(iteration=[1])),
+         r"line 5 is no field record \(TypeError: .* are not ints\)"),
+    ], ids=["first-iteration", "last-iteration", "last-step", "header",
+            "cut-last-line", "blank-last-line", "no-iteration", "list-iteration"])
+    def test_incomplete_checkpoint_rejected(self, tmp_path, edit, message):
         from fbsdekit.solver import read_checkpoint, write_checkpoint
 
         problem = example2_problem()
@@ -530,19 +608,18 @@ class TestRunMarkovianIteration:
                            fine_n=12, method="direct")
         path = tmp_path / "fields.jsonl"
         write_checkpoint(run_markovian_iteration(problem, cfg), path)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        kept = [r for r in records if not dropped(r)]
-        assert len(kept) < len(records)
-        path.write_text("".join(json.dumps(r) + "\n" for r in kept))
+        path.write_text(edit(path.read_text().splitlines()))
         with pytest.raises(InvalidArgument, match=message):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("header, message", [
-        ({"iterations": 2}, r"extra value field at .* = \(3, 0\)"),
-        ({"gradient_fields": False}, r"extra gradient field at .* = \(1, 0\)"),
+        ({"iterations": 2}, r"extra field at .* = \(3, 0\)"),
+        ({"gradient_fields": True}, "lacks its header record"),
         ({"steps": "3"}, "lacks its header record"),
-    ], ids=["fewer-iterations", "no-gradient-fields", "malformed"])
+    ], ids=["fewer-iterations", "two-table-header", "malformed"])
     def test_checkpoint_beyond_its_header_rejected(self, tmp_path, header, message):
+        # a header that names a gradient table, as the earlier two-table
+        # format's did, is no header of this format
         from fbsdekit.solver import read_checkpoint, write_checkpoint
 
         problem = example2_problem()
@@ -555,28 +632,26 @@ class TestRunMarkovianIteration:
         with pytest.raises(InvalidArgument, match=message):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("kind", ["value", "gradient"])
-    def test_duplicate_checkpoint_record_rejected(self, tmp_path, kind):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_duplicate_checkpoint_record_rejected(self, tmp_path, method):
         # a second (1, 0) record must not overwrite the first one silently
         from fbsdekit.solver import read_checkpoint, write_checkpoint
 
         problem = example2_problem()
         cfg = SolverConfig(n_steps=3, num_iterations=2, num_paths=200,
-                           fine_n=12, method="direct")
+                           fine_n=12, method=method)
         path = tmp_path / "fields.jsonl"
         write_checkpoint(run_markovian_iteration(problem, cfg), path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         duplicate = next(
-            r for r in records[1:]
-            if ("dim_w" in r) == (kind == "gradient")
-            and (r["iteration"], r["time_index"]) == (1, 0)
+            r for r in records[1:] if (r["iteration"], r["time_index"]) == (1, 0)
         )
         duplicate = {**duplicate,
                      "coeffs": np.full_like(duplicate["coeffs"], 9.0).tolist()}
         with open(path, "a") as handle:
             handle.write(json.dumps(duplicate) + "\n")
         with pytest.raises(InvalidArgument,
-                           match=rf"duplicate {kind} field at .* = \(1, 0\)"):
+                           match=r"duplicate field at .* = \(1, 0\)"):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -640,11 +715,9 @@ class TestClosedFormRuns:
         composed = run_markovian_iteration(
             dataclasses.replace(problem, closed_form=None), cfg
         )
-        for kind in ("fields", "zfields"):
-            for ours, theirs in zip(getattr(closed, kind) or [],
-                                    getattr(composed, kind) or [], strict=True):
-                for a, b in zip(ours, theirs, strict=True):
-                    assert np.array_equal(a.coeffs, b.coeffs)
+        for ours, theirs in zip(closed.fields, composed.fields, strict=True):
+            for a, b in zip(ours, theirs, strict=True):
+                assert np.array_equal(a.coeffs, b.coeffs)
         for name in ("x", "y", "z"):
             assert np.array_equal(getattr(closed.final_paths, name),
                                   getattr(composed.final_paths, name))

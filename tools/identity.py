@@ -19,7 +19,9 @@ The first form runs, in this process and against the ``fbsdekit`` found on
   the reference striding shows in these entries;
 - ``run_markovian_iteration`` for both methods on example1 and example2
   (N 8, M 3, 3000 paths, fine_n 256, seed 7): its ``write_checkpoint``
-  file and its final paths;
+  file and its final paths.  A checkpoint is one table for either
+  method; a direct one holds fields of ``1 + dim_w`` coefficient columns,
+  the value column first;
 - ``check_conditions`` on twelve constant sets: the nine of the
   ``diagnose-grid`` workload, the demo constants file, default example1,
   and example1 at ``kappa_y = kappa_z = 0.01, sigma_bar = 0.2, dim = 1``.
