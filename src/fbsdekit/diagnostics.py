@@ -40,7 +40,6 @@ __all__ = [
     "compute_D_constants",
     "compute_L0_L1",
     "compute_c_functions",
-    "compute_c_functions_disc",
     "compute_c2",
     "compute_c2_at",
     "z_field_lipschitz_factor",
@@ -326,26 +325,6 @@ def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
         math.exp(max(a4, 0.0) * T) * c.g_0
         + b2 * T * gamma0(a4 * T)
         + _prod(b1 + d3, c0)
-    )
-    return c0, c1, l2
-
-
-def compute_c_functions_disc(
-    c: AssumptionConstants, h: float, growth: float, lbar: float
-):
-    """Discrete-grid versions of ``c0``, ``c1``, ``L2`` at step size ``h``."""
-    a1, a2, _, a4, a5, b1, b2 = compute_A_constants(c, h)
-    d1, d2, d3 = compute_D_constants(c, h, lbar)
-    n = int(round(c.T / h))
-    arg = (a1 + d1) + _prod(a2 + d2, growth)
-    c0 = c.g_x * gamma1_disc(n, a4, arg, h) + a5 * gamma0_disc(
-        n, a4, h
-    ) * gamma0_disc(n, arg, h)
-    c1 = _prod(a2 + d2, c0)
-    l2 = (
-        _prod(b1 + d3, c0)
-        + max(math.exp(a4 * c.T), 1.0) * c.g_0
-        + b2 * gamma0_disc(n, a4, h)
     )
     return c0, c1, l2
 

@@ -51,6 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .brownian import _positive_int
 from .diagnostics import AssumptionConstants
 from .errors import InvalidArgument
 
@@ -254,9 +255,7 @@ def example1_problem(
     strengths), the diffusion is ``sigma_bar * y`` times the identity, and
     the exact value process is ``exp(-rate (T - t)) sum_i sin(x_i)``.
     """
-    if dim < 1:
-        raise InvalidArgument(f"dim must be positive, got {dim}")
-    d = int(dim)
+    d = _positive_int(dim, "dim")
     T = float(horizon)
 
     def g(x):

@@ -46,7 +46,8 @@ def simulate_reference(
     coarse node it reaches, with that coarse ``step`` and the first bad
     ``path``.
 
-    Walks ``grid`` on the store, whose horizon must equal the grid's exactly;
+    Walks ``grid`` on the store, whose horizon must equal the grid's exactly
+    and whose Brownian motion must have the problem's ``dim_w`` components;
     the walk caches the grid's coarse increments, so a following
     ``coarsen_increments(store, grid.n)`` costs nothing extra.
     """
@@ -56,6 +57,9 @@ def simulate_reference(
         )
     if store.horizon != grid.horizon:
         raise InvalidArgument("store and grid disagree on the horizon")
+    if store.dim_w != problem.dim_w:
+        raise InvalidArgument(f"store of {store.dim_w} Brownian components, "
+                              f"problem of dim_w = {problem.dim_w}")
     num_paths, dim, dim_w = store.num_paths, problem.dim_x, problem.dim_w
     span = store.fine_n // grid.n
     h_fine = store.horizon / store.fine_n

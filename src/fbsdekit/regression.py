@@ -11,21 +11,21 @@ linearization: the driver arguments and the diffusion are frozen at the
 current iterate, the model is then linear in ``theta`` and solved exactly,
 and the frozen quantities are refreshed.  The clamped states, the mask of
 the coordinates inside the box, the clamped features ``phi`` and the
-step's coefficients ``problem.at(t, X)`` are built once per step, and each
-iterate is evaluated once from them: ``y = phi theta``, the diffusion at
-``y``, ``z`` as the gradient of the field contracted with it, and
-``f(y, z)`` give the frozen quantities of the next linearization.  The
-joint loss of an iterate is a diagnostic of the method, not an input to
-it (a linearized solve is not a guaranteed descent step), and is
-computed only when the caller collects it.  ``fit_step_direct`` is the
-two-regression baseline: each component of the gradient process is
-regressed from ``h^-1 Y_next dW``, then the value process once from
-``Y_next + h f(t, X, Y_next, Z)``.  Its ``dim_w + 1`` regressions share
-one design, so they share its Gram matrix and Cholesky factor, and each
-target is solved alone with that factor; their solutions are the
-columns of one field, the value's first.  Both fits also return the
-values of the fitted value process on the step's states, which the
-backward pass takes as the previous step's target.
+step's coefficients ``problem.at(t, X)`` are built once per step.  The
+kernel the forward sweep shares gives an iterate's ``y = phi theta``, the
+diffusion at ``y`` and ``z``, the field's gradient contracted with it;
+with ``f(y, z)`` they freeze the next linearization, so the returned
+iterate is evaluated past ``phi theta`` only for its joint loss.  That
+loss is a diagnostic of the method, not an input to it (a linearized solve
+is not a guaranteed descent step), and is computed only when the caller
+collects it.  ``fit_step_direct`` is the two-regression baseline: each
+component of the gradient process is regressed from ``h^-1 Y_next dW``,
+then the value process once from ``Y_next + h f(t, X, Y_next, Z)``.  Its
+``dim_w + 1`` regressions share one design, so they share its Gram matrix
+and Cholesky factor, and each target is solved alone with that factor;
+their solutions are the columns of one field, the value's first.  Both
+fits also return the values of the fitted value process on the step's
+states, which the backward pass takes as the previous step's target.
 
 The design rows are ``phi`` plus the derivative of the features along
 ``sigma dW``, formed without the feature Jacobian
@@ -208,17 +208,22 @@ def solve_linear_lsq(design, targets, ridge: float = 0.0) -> np.ndarray:
     return _NormalEquations(design, ridge).solve(targets)
 
 
-def _evaluate_iterate(coefficients, phi, xc, inside, coeffs):
-    """Value, diffusion, gradient process and driver of one iterate.
+def _processes(coefficients, phi, xc, inside, coeffs):
+    """Value process, diffusion and gradient process of one field at a step.
 
-    ``phi`` holds the features at the clamped states ``xc``, and
-    ``inside`` masks their unclamped coordinates, so ``y`` and ``z`` equal
-    ``eval_u`` and ``eval_v_diff`` of the field with these coefficients.
+    ``phi`` holds the features at the clamped states ``xc``, and ``inside``
+    masks their unclamped coordinates.  A ``(P,)`` field is differentiated:
+    ``y`` and ``z`` equal ``eval_u`` and ``eval_v_diff`` of it.  A
+    ``(P, 1 + dim_w)`` field gives ``y`` and ``z`` from its columns; the
+    products with column views have the bits of :func:`fit_step_direct`'s,
+    and the columns of ``phi @ coeffs`` would not.
     """
-    y = phi @ coeffs
-    diffusion = coefficients.diffusion(y)
-    z = diffusion.gradient(clamped_gradient(coeffs, xc, inside))
-    return y, diffusion, z, coefficients.f(y, z)
+    if coeffs.ndim == 1:
+        y = phi @ coeffs
+        diffusion = coefficients.diffusion(y)
+        return y, diffusion, diffusion.gradient(clamped_gradient(coeffs, xc, inside))
+    y = phi @ coeffs[:, 0]
+    return y, coefficients.diffusion(y), phi @ coeffs[:, 1:]
 
 
 def fit_step_differentiation(
@@ -236,8 +241,9 @@ def fit_step_differentiation(
 
     ``warm_start`` supplies the initial frozen iterate and the truncation
     box of the returned field.  The linearized subproblem is re-solved
-    ``cfg.inner_iters`` times.  The empirical joint loss of each iterate
-    is computed only when ``loss_history`` is given, and appended to it.
+    ``cfg.inner_iters`` times, at as many evaluations of sigma and ``f``.
+    The empirical joint loss of each solve's iterate is computed, at one
+    more, only when ``loss_history`` is given, and appended to it.
 
     Returns ``(field, y)`` with ``y`` the field's values on ``x``, equal to
     ``eval_u(field, x)``.
@@ -253,20 +259,20 @@ def fit_step_differentiation(
     coefficients = problem.at(t, x)
 
     coeffs = warm_start.coeffs
-    y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
-        coefficients, phi, xc, inside, coeffs
-    )
-    for _ in range(cfg.inner_iters):
+    y_bar, diffusion, z_bar = _processes(coefficients, phi, xc, inside, coeffs)
+    f_bar = coefficients.f(y_bar, z_bar)
+    for solve in range(1, cfg.inner_iters + 1):
         if not diffusion.finite():
             raise NumericalFailure(f"diffusion evaluated non-finite at t={t}")
         design = feature_derivative(xc, inside, diffusion.apply(dw))
         design += phi_rows
-        targets = y_next + h * f_bar
-        coeffs = solve_linear_lsq(design, targets, cfg.ridge)
+        coeffs = solve_linear_lsq(design, y_next + h * f_bar, cfg.ridge)
+        if solve == cfg.inner_iters and loss_history is None:
+            # no later solve linearizes at the returned iterate
+            return replace(warm_start, coeffs=coeffs), phi @ coeffs
         # the new iterate; its driver value is the next linearization's drift
-        y_bar, diffusion, z_bar, f_bar = _evaluate_iterate(
-            coefficients, phi, xc, inside, coeffs
-        )
+        y_bar, diffusion, z_bar = _processes(coefficients, phi, xc, inside, coeffs)
+        f_bar = coefficients.f(y_bar, z_bar)
         if loss_history is not None:
             # the joint loss; its row dot takes C-order operands
             pred = y_bar - h * f_bar + np.einsum(

@@ -6,9 +6,10 @@ through the time steps refitting the fields against the simulated paths.
 One loop of ``M + 1`` forward sweeps serves both methods: sweep ``m``
 feeds fit ``m`` and also gives iteration ``m - 1``'s error report, and
 sweep ``M + 1`` gives the final paths that error metrics compare against
-a reference solution.  Both methods keep one field per step: the sweep
-differentiates a scalar field, and reads a direct field's ``1 + dim_w``
-columns as the value process and then the gradient process.
+a reference solution.  Both methods keep one field per step, which the
+sweep evaluates with the fit's kernel: it differentiates a scalar field,
+and reads a direct field's ``1 + dim_w`` columns as the value process
+and then the gradient process.
 
 The truncation box of all fields is chosen once, after the first forward
 sweep, from the 0.05%..99.95% quantile range of the simulated states: it
@@ -45,15 +46,15 @@ from .brownian import (
 from .errors import InvalidArgument, NumericalFailure, _check_state
 from .fields import (
     clamp,
-    eval_u,
     features,
     field_from_record,
     field_to_record,
-    grad_u,
+    inside_box,
     zero_field,
 )
 from .reference import compute_errors
-from .regression import RegressionConfig, fit_step_differentiation, fit_step_direct
+from .regression import (RegressionConfig, _processes, fit_step_differentiation,
+                         fit_step_direct)
 
 __all__ = [
     "SolverConfig",
@@ -103,6 +104,14 @@ class IterationResult:
     per_iteration_errors: Optional[list] = None
 
 
+def _check_increments(problem, increments, grid: TimeGrid, num_paths: int):
+    """Raise unless ``increments`` are ``(num_paths, N, dim_w)``."""
+    expected = (num_paths, grid.n, problem.dim_w)
+    if np.shape(increments) != expected:
+        raise InvalidArgument(f"increments of shape {np.shape(increments)}, "
+                              f"not (paths, N, dim_w) = {expected}")
+
+
 def forward_simulate(
     problem,
     fields_prev,
@@ -111,10 +120,11 @@ def forward_simulate(
 ) -> PathBatch:
     """Forward Euler sweep driven by the previous iteration's fields.
 
-    At each node a scalar field gives the value process and, through its
-    gradient, the gradient process; a direct field's columns give them
-    from one feature matrix, column 0 and then the ``dim_w`` others.  The
-    terminal node uses the terminal condition and its gradient instead.
+    At each node the fit's kernel evaluates the field at the states,
+    clamped once: a scalar field gives the value process and, through its
+    gradient, the gradient process; a direct field's columns 0 and then
+    ``1..dim_w`` give them.  The terminal node uses the terminal condition
+    and its gradient instead.  ``increments`` are ``(paths, N, dim_w)``.
     """
     if len(fields_prev) != grid.n:
         raise InvalidArgument(
@@ -124,7 +134,8 @@ def forward_simulate(
     if columns:
         raise InvalidArgument(f"a field of {min(columns)[0]} coefficient "
                               f"columns, not 1 + dim_w = {1 + problem.dim_w}")
-    num_paths = increments.shape[0]
+    num_paths = len(increments)
+    _check_increments(problem, increments, grid, num_paths)
     dim, dim_w = problem.dim_x, problem.dim_w
     x = paths_fastest((num_paths, grid.n + 1, dim))
     y = paths_fastest((num_paths, grid.n + 1))
@@ -135,18 +146,10 @@ def forward_simulate(
         state = x[:, i]
         coefficients = problem.at(grid.nodes[i], state)
         fld = fields_prev[i]
-        if fld.coeffs.ndim == 1:
-            y[:, i] = eval_u(fld, state)
-            diffusion = coefficients.diffusion(y[:, i])
-            # eval_v_diff, with the value and diffusion already at hand
-            z[:, i] = diffusion.gradient(grad_u(fld, state))
-        else:
-            # products with column views have the bits of fit_step_direct's;
-            # the columns of phi @ coeffs would not
-            phi = features(clamp(state, fld), dim)
-            y[:, i] = phi @ fld.coeffs[:, 0]
-            z[:, i] = phi @ fld.coeffs[:, 1:]
-            diffusion = coefficients.diffusion(y[:, i])
+        xc = clamp(state, fld)
+        y[:, i], diffusion, z[:, i] = _processes(
+            coefficients, features(xc, dim), xc, inside_box(state, fld), fld.coeffs
+        )
         drift = coefficients.b(y[:, i], z[:, i])
         x[:, i + 1] = state + drift * h + diffusion.apply(increments[:, i])
         _check_state(x[:, i + 1], i)
@@ -171,9 +174,10 @@ def backward_pass(
 ):
     """Refit the per-step fields against freshly simulated paths.
 
-    Sweeps ``i = N-1 .. 0``; the regression target at step ``i`` is the
-    next node's value process: the terminal condition at the last step,
-    and below it the values the fit one step later returned.  A fit's
+    Sweeps ``i = N-1 .. 0`` on the sweep's ``increments``; the regression
+    target at step ``i`` is the next node's value process: the terminal
+    condition the sweep stored in ``paths.y[:, N]`` at the last step, and
+    below it the values the fit one step later returned.  A fit's
     :class:`NumericalFailure` leaves here with ``step=i``.
 
     Returns the list of the ``N`` step fields, scalar for differentiation
@@ -182,8 +186,9 @@ def backward_pass(
     if method not in METHODS:
         raise InvalidArgument(f"method must be one of {METHODS}")
     fit = fit_step_direct if method == "direct" else fit_step_differentiation
+    _check_increments(problem, increments, grid, paths.num_paths)
     n = grid.n
-    y_next = problem.g(paths.x[:, n])
+    y_next = paths.y[:, n]
     fields = [None] * n
     for i in range(n - 1, -1, -1):
         try:

@@ -15,7 +15,6 @@ from fbsdekit.diagnostics import (
     compute_c2,
     compute_c2_at,
     compute_c_functions,
-    compute_c_functions_disc,
     compute_D_constants,
     compute_L0_L1,
     default_lambdas,
@@ -254,18 +253,6 @@ class TestCFunctions:
         c = constants(b_y=0.0, sigma_y=0.0, b_z=0.0, f_x=0.5, g_x=1.0)
         _, c1, _ = compute_c_functions(c, growth=1.0, lbar=1.0)
         assert c1 == 0.0
-
-    def test_discrete_to_continuous(self):
-        c = constants(k_b=-0.1, k_f=-0.3, K=0.5, b_y=0.1, sigma_y=0.05,
-                      b_z=0.02, sigma_x=0.2, f_x=0.4, f_z=0.1, g_x=1.0,
-                      b_0=0.3, sigma_0=0.1, f_0=0.2, g_0=0.5, Sigma=1.0, T=0.5)
-        cont = compute_c_functions(c, growth=1.5, lbar=2.0)
-        gaps = []
-        for h in (1e-2, 1e-3, 1e-4):
-            disc = compute_c_functions_disc(c, h, growth=1.5, lbar=2.0)
-            gaps.append(max(abs(d - co) for d, co in zip(disc, cont)))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] <= 1e-2 * max(abs(v) for v in cont)
 
 
 class TestC2:

@@ -144,9 +144,10 @@ class TestExample1:
         z1 = np.ones((1, 4))
         assert problem.f(0.1, x, y, z1)[0] - problem.f(0.1, x, y, z0)[0] == -0.5 * 4
 
-    def test_invalid_dim(self):
-        with pytest.raises(InvalidArgument):
-            example1_problem(dim=0)
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, None, "4", float("nan")])
+    def test_invalid_dim(self, dim):
+        with pytest.raises(InvalidArgument, match="dim must be a positive integer"):
+            example1_problem(dim=dim)
 
 
 class TestExample2:

@@ -260,6 +260,15 @@ class TestSimulateReference:
         with pytest.raises(InvalidArgument, match="disagree on the horizon"):
             simulate_reference(problem, store, make_time_grid(0.25, 4))
 
+    @pytest.mark.parametrize("dim_w", [1, 3, 5])
+    def test_store_of_another_brownian_dimension_rejected(self, dim_w):
+        # example1 has dim_w = 4: one component would move all four states
+        # alike, and three or five would not align with them
+        problem = example1_problem()
+        store = sample_fine_increments(1, 10, 16, dim_w, problem.horizon)
+        with pytest.raises(InvalidArgument, match="Brownian components"):
+            simulate_reference(problem, store, make_time_grid(problem.horizon, 4))
+
 
 def batch(x, y, z):
     return PathBatch(x=x, y=y, z=z)

@@ -372,11 +372,18 @@ def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
 
 
 class TestFitStepDifferentiationEvaluations:
-    """Each iterate is evaluated once and carried into the next
-    linearization and, when it is collected, the loss."""
+    """Each iterate that a later solve linearizes at, or whose loss is
+    collected, is evaluated once and carried into both; the returned
+    iterate of a fit that collects no loss is not evaluated."""
 
-    def test_coefficient_calls_per_fit(self):
-        # warm start plus three iterates: one sigma and one f each
+    @pytest.mark.parametrize(
+        "collect, expected",
+        [(False, {"sigma": 3, "f": 3}), (True, {"sigma": 4, "f": 4})],
+        ids=["no-loss", "loss-history"],
+    )
+    def test_coefficient_calls_per_fit(self, collect, expected):
+        # one sigma and one f per iterate that is evaluated: the warm start
+        # and the first two solves' iterates, and the third's for its loss
         problem, t, h, x, y_next, dw, warm = example1_batch(n=500)
         calls = {"sigma": 0, "f": 0}
 
@@ -395,8 +402,9 @@ class TestFitStepDifferentiationEvaluations:
         fit_step_differentiation(
             counting, t, x, y_next, dw, warm,
             RegressionConfig(inner_iters=3), h=h,
+            loss_history=[] if collect else None,
         )
-        assert calls == {"sigma": 4, "f": 4}
+        assert calls == expected
 
     @pytest.mark.parametrize("inner_iters", [1, 2, 3])
     def test_last_loss_is_that_of_the_returned_field(self, inner_iters):

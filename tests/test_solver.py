@@ -21,6 +21,7 @@ from fbsdekit.fields import (
     eval_u,
     eval_v_diff,
     features,
+    num_features,
     zero_field,
 )
 from fbsdekit.problems import (
@@ -124,18 +125,25 @@ class TestForwardSimulate:
             forward_simulate(problem, zero_fields(4), np.zeros((2, 4, 1)), grid)
         assert err.value.step is not None
 
-    def test_gradient_process_from_the_step_diffusion(self):
-        # Z equals eval_v_diff of each field, from the one sigma call per
-        # node that the Euler step also uses; the box clamps some paths
-        problem = example2_problem()
+    @pytest.mark.parametrize("factory, half_width", [
+        (example2_problem, 0.01),
+        (example1_problem, 0.3),
+    ])
+    def test_gradient_process_from_the_step_diffusion(self, factory, half_width):
+        # Y equals eval_u and Z eval_v_diff of each field, from the one
+        # sigma call per node that the Euler step also uses, on the closed
+        # form and on the composed spec; the box clamps some paths
+        problem = factory()
         grid = make_time_grid(problem.horizon, 4)
-        store = sample_fine_increments(3, 200, 16, 1, problem.horizon)
-        inc = coarsen_increments(store, 4)
-        fields = [
-            QuadraticField(dim=1, coeffs=np.array([0.3, -0.5, 0.2]) * (i + 1),
-                           trunc_lo=np.array([1.49]), trunc_hi=np.array([1.51]))
-            for i in range(4)
-        ]
+        inc = coarsen_increments(
+            sample_fine_increments(3, 200, 16, problem.dim_w, problem.horizon), 4
+        )
+        lo, hi = problem.x0 - half_width, problem.x0 + half_width
+        rng = np.random.default_rng(5)
+        base = 0.2 * rng.normal(size=num_features(problem.dim_x))
+        base[0] = 1.0  # Y about 1, so example1's diffusion moves
+        fields = [QuadraticField(problem.dim_x, base * (i + 1), lo, hi)
+                  for i in range(4)]
         calls = []
 
         def sigma(t, x, y):
@@ -143,15 +151,19 @@ class TestForwardSimulate:
             return problem.sigma(t, x, y)
 
         counting = dataclasses.replace(problem, sigma=sigma)
-        paths = forward_simulate(counting, fields, inc, grid)
+        paths = forward_simulate(problem, fields, inc, grid)
+        composed = forward_simulate(counting, fields, inc, grid)
         assert len(calls) == grid.n + 1
         inner = paths.x[:, 1 : grid.n]
-        assert np.any((inner < 1.49) | (inner > 1.51))
-        for i in range(grid.n):
-            assert np.array_equal(
-                paths.z[:, i],
-                eval_v_diff(fields[i], problem.sigma, grid.nodes[i], paths.x[:, i]),
-            )
+        assert np.any((inner < lo) | (inner > hi))
+        for batch in (paths, composed):
+            for i in range(grid.n):
+                state = batch.x[:, i]
+                assert np.array_equal(batch.y[:, i], eval_u(fields[i], state))
+                assert np.array_equal(
+                    batch.z[:, i],
+                    eval_v_diff(fields[i], problem.sigma, grid.nodes[i], state),
+                )
 
     @pytest.mark.parametrize("method", METHODS)
     def test_paths_stored_paths_fastest(self, method):
@@ -229,6 +241,17 @@ class TestForwardSimulate:
         with pytest.raises(InvalidArgument, match=rf"{columns} coefficient columns"):
             forward_simulate(problem, fields, np.zeros((3, 2, 4)), grid)
 
+    @pytest.mark.parametrize("shape", [(50, 8, 1), (50, 4, 4), (50, 8)],
+                             ids=["one-component", "too-few-steps", "no-components"])
+    def test_increments_of_another_shape_rejected(self, shape):
+        # example1 has dim_w = 4: one component would broadcast across all
+        # four, and four steps on an eight-step grid would run out
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 8)
+        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 8
+        with pytest.raises(InvalidArgument, match=r"not \(paths, N, dim_w\)"):
+            forward_simulate(problem, fields, np.zeros(shape), grid)
+
 
 class TestBackwardPass:
     def test_constant_terminal_condition(self):
@@ -271,6 +294,39 @@ class TestBackwardPass:
         with pytest.raises(InvalidArgument):
             backward_pass(problem, paths, inc, grid, zero_fields(2), cfg,
                           method="Direct")
+
+    @pytest.mark.parametrize("shape", [(50, 8, 1), (50, 4, 4), (49, 8, 4)],
+                             ids=["one-component", "too-few-steps", "other-paths"])
+    def test_increments_of_another_shape_rejected(self, shape):
+        # the fits take the sweep's increments: (paths, N, dim_w) with the
+        # paths of the batch and example1's dim_w = 4
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 8)
+        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 8
+        paths = forward_simulate(problem, fields, np.zeros((50, 8, 4)), grid)
+        with pytest.raises(InvalidArgument, match=r"not \(paths, N, dim_w\)"):
+            backward_pass(problem, paths, np.zeros(shape), grid, fields,
+                          RegressionConfig())
+
+    def test_first_target_is_the_sweeps_terminal_value(self):
+        # the sweep stored g(x_N) at node N, so the backward pass reads it
+        # there and calls g no more
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 2)
+        inc = coarsen_increments(
+            sample_fine_increments(2, 300, 16, 4, problem.horizon), 2
+        )
+        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 2
+        paths = forward_simulate(problem, fields, inc, grid)
+
+        def no_g(x):
+            raise AssertionError("g called again")
+
+        fitted = backward_pass(dataclasses.replace(problem, g=no_g), paths, inc,
+                               grid, fields, RegressionConfig())
+        again = backward_pass(problem, paths, inc, grid, fields, RegressionConfig())
+        for ours, theirs in zip(fitted, again):
+            assert np.array_equal(ours.coeffs, theirs.coeffs)
 
     def test_martingale_identity_fields(self):
         problem = decoupled_test_problem("brownian-linear")
