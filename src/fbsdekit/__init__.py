@@ -77,12 +77,7 @@ from .problems import (
     example2_problem,
 )
 from .reference import ErrorReport, compute_errors, fit_rate, simulate_reference
-from .regression import (
-    RegressionConfig,
-    fit_step_differentiation,
-    fit_step_direct,
-    solve_linear_lsq,
-)
+from .regression import fit_step_differentiation, fit_step_direct, solve_linear_lsq
 from .solver import (
     IterationResult,
     SolverConfig,

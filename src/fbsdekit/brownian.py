@@ -101,15 +101,21 @@ def paths_fastest(shape) -> np.ndarray:
     return np.empty(shape, order="F")
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as an ``int``; it must be a whole number of at least 1."""
+def _whole_int(value, name: str, positive: bool = False) -> int:
+    """``value`` as an ``int``; a whole number, and at least 1 if ``positive``."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):  # None, NaN, infinities
         whole = None
-    if whole is None or whole != value or whole < 1:
-        raise InvalidArgument(f"{name} must be a positive integer, got {value}")
+    if whole is None or whole != value or (positive and whole < 1):
+        kind = "a positive integer" if positive else "a whole number"
+        raise InvalidArgument(f"{name} must be {kind}, got {value}")
     return whole
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as an ``int``; it must be a whole number of at least 1."""
+    return _whole_int(value, name, positive=True)
 
 
 def _positive_horizon(horizon) -> float:
@@ -379,7 +385,7 @@ def sample_fine_increments(
         fine_n=_positive_int(fine_n, "fine_n"),
         dim_w=_positive_int(dim_w, "dim_w"),
         horizon=_positive_horizon(horizon),
-        seed=int(seed) & 0xFFFFFFFFFFFFFFFF,
+        seed=_whole_int(seed, "seed") & 0xFFFFFFFFFFFFFFFF,
     )
 
 

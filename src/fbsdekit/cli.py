@@ -18,6 +18,7 @@ package docstring).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -34,7 +35,6 @@ from .diagnostics import (
 from .errors import FBSDEError, InvalidArgument, NumericalFailure
 from .problems import decoupled_test_problem, example1_problem, example2_problem
 from .reference import compute_errors, fit_rate, simulate_reference
-from .regression import RegressionConfig
 from .solver import METHODS, SolverConfig, run_markovian_iteration
 
 CSV_HEADER = "method,problem,N,M,paths,seed,fineN,err_x,err_y,err_z,total,wall_ms"
@@ -53,8 +53,6 @@ _DEFAULTS = {
     "paths": 15000,
     "seed": SolverConfig.seed,
     "fine_n": SolverConfig.fine_n,
-    "ridge": RegressionConfig.ridge,
-    "inner_iters": RegressionConfig.inner_iters,
     "out": None,
     **dict.fromkeys(_PROBLEM_OPTIONS),
 }
@@ -77,8 +75,6 @@ def _add_run_flags(parser):
     parser.add_argument("--paths", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--fine-n", dest="fine_n", type=int)
-    parser.add_argument("--ridge", type=float)
-    parser.add_argument("--inner-iters", dest="inner_iters", type=int)
     parser.add_argument("--out", help="append CSV rows to this file")
     parser.add_argument("--config", help="JSON file with defaults")
     parser.add_argument("--kappa-y", dest="kappa_y", type=float)
@@ -172,9 +168,6 @@ def _solver_config(options, n, m) -> SolverConfig:
         method=options["method"],
         seed=options["seed"],
         fine_n=options["fine_n"],
-        regression=RegressionConfig(
-            ridge=options["ridge"], inner_iters=options["inner_iters"]
-        ),
     )
 
 
@@ -197,15 +190,24 @@ def _format_row(problem_name, cfg, report, wall_ms) -> str:
     )
 
 
-def _emit(line, path):
-    """Print a CSV line and append it to ``path`` when given, after the
-    header when the file is new or empty."""
+def _open_out(path, mode):
+    """The ``--out`` file opened in ``mode``, or a null context without one."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise _CliError(f"cannot open --out {path}: {exc}") from None
+
+
+def _emit(line, out):
+    """Print a CSV line and append it to ``out`` when given, after the
+    header when the file is empty."""
     print(line)
-    if path:
-        with open(path, "a") as handle:
-            if handle.tell() == 0:  # opened at its end: the file is empty
-                handle.write(CSV_HEADER + "\n")
-            handle.write(line + "\n")
+    if out is not None:
+        if out.tell() == 0:  # opened at its end: the file is empty
+            out.write(CSV_HEADER + "\n")
+        print(line, file=out, flush=True)
 
 
 def _sweep(options, sweep, values) -> int:
@@ -215,8 +217,8 @@ def _sweep(options, sweep, values) -> int:
     it divides, and simulates its own where there is none; grid nodes
     stride exactly (see ``make_time_grid``), so each row depends on its own
     N alone.  Every value's config is checked before any reference is
-    simulated.  Each row is appended to ``--out`` as it is made, so a
-    failing value keeps the rows before it.
+    simulated, and ``--out`` is opened then.  Each row is appended to it
+    as it is made, so a failing value keeps the rows before it.
     """
     problem = _build_problem(options)
     n_values = values if sweep == "N" else [options["N"]]
@@ -231,25 +233,26 @@ def _sweep(options, sweep, values) -> int:
         for v in values
     ]
 
-    references = {}
-    for n in sorted(grids, reverse=True):
-        base = next((b for b in references if b % n == 0), None)
-        references[n] = (simulate_reference(problem, store, grids[n]) if base is None
-                         else references[base].strided(base // n))
+    with _open_out(options["out"], "a") as out:
+        references = {}
+        for n in sorted(grids, reverse=True):
+            base = next((b for b in references if b % n == 0), None)
+            references[n] = (simulate_reference(problem, store, grids[n])
+                             if base is None else references[base].strided(base // n))
 
-    print(CSV_HEADER)
-    totals = []
-    for v, cfg in zip(values, configs):
-        n = cfg.n_steps
-        start = time.perf_counter()
-        result = run_markovian_iteration(problem, cfg, store=store)
-        report = compute_errors(result.final_paths, references[n], grids[n])
-        del result  # freed before the next run is built
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        totals.append((v, report.total))
-        _emit(_format_row(options["problem"], cfg, report, wall_ms), options["out"])
-    if sweep == "N" and len(grids) >= 2:
-        _emit(f"# rate_total,{repr(fit_rate(totals))}", options["out"])
+        print(CSV_HEADER)
+        totals = []
+        for v, cfg in zip(values, configs):
+            n = cfg.n_steps
+            start = time.perf_counter()
+            result = run_markovian_iteration(problem, cfg, store=store)
+            report = compute_errors(result.final_paths, references[n], grids[n])
+            del result  # freed before the next run is built
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            totals.append((v, report.total))
+            _emit(_format_row(options["problem"], cfg, report, wall_ms), out)
+        if sweep == "N" and len(grids) >= 2:
+            _emit(f"# rate_total,{repr(fit_rate(totals))}", out)
     return 0
 
 
@@ -276,14 +279,10 @@ def cmd_diagnose(args) -> int:
     except OSError as exc:
         raise _CliError(f"cannot read constants file: {exc}")
     constants = parse_constants(text)
-    report = check_conditions(constants)
-    print(report_to_table(report))
-    rendered = report_to_json(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered + "\n")
-    else:
-        print(rendered)
+    with _open_out(args.out, "w") as out:
+        report = check_conditions(constants)
+        print(report_to_table(report))
+        print(report_to_json(report), file=out)  # to stdout without --out
     return 0
 
 

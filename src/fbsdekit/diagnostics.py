@@ -428,11 +428,12 @@ _CONSTANT_FIELDS = [field.name for field in fields(AssumptionConstants)]
 def parse_constants(text: str) -> AssumptionConstants:
     """Parse a flat ``key = value`` file into :class:`AssumptionConstants`.
 
-    Blank lines and ``#`` comments are ignored.  Unknown or missing keys,
-    and unparseable values, raise :class:`InvalidArgument` naming the
-    offender.
+    Blank lines and ``#`` comments are ignored.  Unknown, repeated or
+    missing keys, and unparseable values, raise :class:`InvalidArgument`
+    naming the offender.
     """
     values = {}
+    lines = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -443,6 +444,10 @@ def parse_constants(text: str) -> AssumptionConstants:
         key = key.strip()
         if key not in _CONSTANT_FIELDS:
             raise InvalidArgument(f"line {lineno}: unknown constant {key!r}")
+        first = lines.setdefault(key, lineno)
+        if first != lineno:
+            raise InvalidArgument(f"line {lineno}: constant {key!r} already set "
+                                  f"on line {first}")
         try:
             values[key] = float(val.strip())
         except ValueError:

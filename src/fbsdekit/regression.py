@@ -9,7 +9,9 @@ the single joint optimization
 with ``v = grad_u^T sigma`` tied to the same coefficients, by fixed-point
 linearization: the driver arguments and the diffusion are frozen at the
 current iterate, the model is then linear in ``theta`` and solved exactly,
-and the frozen quantities are refreshed.  The clamped states, the mask of
+and the frozen quantities are refreshed, ``_INNER_SOLVES`` = 3 times.  The
+fits take no settings: each of their normal equations carries the ridge
+``_RIDGE`` = 1e-10 times ``trace(Gram)/P``.  The clamped states, the mask of
 the coordinates inside the box, the clamped features ``phi`` and the
 step's coefficients ``problem.at(t, X)`` are built once per step.  The
 kernel the forward sweep shares gives an iterate's ``y = phi theta``, the
@@ -46,12 +48,12 @@ import contextlib
 import ctypes
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .brownian import _positive_int, paths_fastest
+from .brownian import paths_fastest
 from .errors import InvalidArgument, NumericalFailure, RankDeficiencyError
 from .fields import (
     QuadraticField,
@@ -64,7 +66,6 @@ from .fields import (
 )
 
 __all__ = [
-    "RegressionConfig",
     "solve_linear_lsq",
     "fit_step_differentiation",
     "fit_step_direct",
@@ -115,31 +116,17 @@ def _one_blas_thread():
         set_(previous)
 
 
+# The fits' Tikhonov term, scaled by trace(Gram)/P so that it is invariant
+# under feature rescaling, and the differentiation fit's linearized solves
+_RIDGE = 1e-10
+_INNER_SOLVES = 3
+
+
 def _nonnegative_ridge(ridge) -> float:
     """``ridge`` as a ``float``; it must be a finite real of at least 0."""
     if not isinstance(ridge, numbers.Real) or not 0.0 <= ridge < np.inf:  # NaN too
         raise InvalidArgument(f"ridge must be finite and nonnegative, got {ridge}")
     return float(ridge)
-
-
-@dataclass(frozen=True)
-class RegressionConfig:
-    """Knobs of the per-step fits.
-
-    ``ridge`` scales a Tikhonov term by ``trace(Gram)/P`` so it is
-    invariant under feature rescaling.  ``inner_iters`` is the number of
-    linearized solves of the differentiation fit; the direct fit makes
-    one value regression and does not use it.
-    """
-
-    ridge: float = 1e-10
-    inner_iters: int = 3
-
-    def __post_init__(self):
-        object.__setattr__(self, "ridge", _nonnegative_ridge(self.ridge))
-        object.__setattr__(
-            self, "inner_iters", _positive_int(self.inner_iters, "inner_iters")
-        )
 
 
 class _NormalEquations:
@@ -233,7 +220,6 @@ def fit_step_differentiation(
     y_next,
     dw,
     warm_start: QuadraticField,
-    cfg: RegressionConfig,
     h: float,
     loss_history: list | None = None,
 ) -> tuple[QuadraticField, np.ndarray]:
@@ -241,7 +227,8 @@ def fit_step_differentiation(
 
     ``warm_start`` supplies the initial frozen iterate and the truncation
     box of the returned field.  The linearized subproblem is re-solved
-    ``cfg.inner_iters`` times, at as many evaluations of sigma and ``f``.
+    ``_INNER_SOLVES`` times under the ridge ``_RIDGE``, at as many
+    evaluations of sigma and ``f``.
     The empirical joint loss of each solve's iterate is computed, at one
     more, only when ``loss_history`` is given, and appended to it.
 
@@ -261,13 +248,13 @@ def fit_step_differentiation(
     coeffs = warm_start.coeffs
     y_bar, diffusion, z_bar = _processes(coefficients, phi, xc, inside, coeffs)
     f_bar = coefficients.f(y_bar, z_bar)
-    for solve in range(1, cfg.inner_iters + 1):
+    for solve in range(1, _INNER_SOLVES + 1):
         if not diffusion.finite():
             raise NumericalFailure(f"diffusion evaluated non-finite at t={t}")
         design = feature_derivative(xc, inside, diffusion.apply(dw))
         design += phi_rows
-        coeffs = solve_linear_lsq(design, y_next + h * f_bar, cfg.ridge)
-        if solve == cfg.inner_iters and loss_history is None:
+        coeffs = solve_linear_lsq(design, y_next + h * f_bar, _RIDGE)
+        if solve == _INNER_SOLVES and loss_history is None:
             # no later solve linearizes at the returned iterate
             return replace(warm_start, coeffs=coeffs), phi @ coeffs
         # the new iterate; its driver value is the next linearization's drift
@@ -289,7 +276,6 @@ def fit_step_direct(
     y_next,
     dw,
     warm_start: QuadraticField,
-    cfg: RegressionConfig,
     h: float,
 ) -> tuple[QuadraticField, np.ndarray]:
     """Two-regression baseline: fit the gradient process from the
@@ -297,7 +283,8 @@ def fit_step_direct(
     value process in one regression against ``Y_next + h f(t, X, Y_next, Z)``:
     the driver takes the next-step values and the fitted gradient process.
 
-    ``warm_start`` supplies the truncation box of the returned field.
+    ``warm_start`` supplies the truncation box of the returned field, and
+    every regression takes the ridge ``_RIDGE``.
     Returns ``(field, y)``: the field's coefficients are ``(P, 1 + dim_w)``,
     column 0 the value process and column ``1 + c`` component ``c`` of
     the gradient process, and ``y`` is the value process on ``x``, the
@@ -308,7 +295,7 @@ def fit_step_direct(
     dw = np.asarray(dw, dtype=np.float64)
     phi = features(clamp(x, warm_start), warm_start.dim)
 
-    normal = _NormalEquations(phi, cfg.ridge)
+    normal = _NormalEquations(phi, _RIDGE)
     coeffs = np.empty((phi.shape[1], 1 + dw.shape[1]))
     for comp in range(dw.shape[1]):
         coeffs[:, 1 + comp] = normal.solve(y_next * dw[:, comp] / h)

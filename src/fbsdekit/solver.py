@@ -38,6 +38,7 @@ from .brownian import (
     PathBatch,
     TimeGrid,
     _positive_int,
+    _whole_int,
     coarsen_increments,
     make_time_grid,
     paths_fastest,
@@ -53,8 +54,7 @@ from .fields import (
     zero_field,
 )
 from .reference import compute_errors
-from .regression import (RegressionConfig, _processes, fit_step_differentiation,
-                         fit_step_direct)
+from .regression import _processes, fit_step_differentiation, fit_step_direct
 
 __all__ = [
     "SolverConfig",
@@ -79,11 +79,11 @@ class SolverConfig:
     fine_n: int = 20480
     trunc_lo: Optional[np.ndarray] = None
     trunc_hi: Optional[np.ndarray] = None
-    regression: RegressionConfig = RegressionConfig()
 
     def __post_init__(self):
         for name in ("n_steps", "num_iterations", "num_paths", "fine_n"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", _whole_int(self.seed, "seed"))
         if self.fine_n % self.n_steps != 0:
             raise InvalidArgument(
                 f"fine_n={self.fine_n} is not divisible by N={self.n_steps}: "
@@ -112,6 +112,21 @@ def _check_increments(problem, increments, grid: TimeGrid, num_paths: int):
                               f"not (paths, N, dim_w) = {expected}")
 
 
+def _check_fields(problem, fields, grid: TimeGrid):
+    """Raise unless ``fields`` are ``N`` fields on ``dim_x`` states, each
+    scalar or of ``1 + dim_w`` coefficient columns."""
+    if len(fields) != grid.n:
+        raise InvalidArgument(f"need {grid.n} per-step fields, got {len(fields)}")
+    dims = {f.dim for f in fields} - {problem.dim_x}
+    if dims:
+        raise InvalidArgument(f"a field on {min(dims)}-dimensional states, "
+                              f"not dim_x = {problem.dim_x}")
+    columns = {f.coeffs.shape[1:] for f in fields} - {(), (1 + problem.dim_w,)}
+    if columns:
+        raise InvalidArgument(f"a field of {min(columns)[0]} coefficient "
+                              f"columns, not 1 + dim_w = {1 + problem.dim_w}")
+
+
 def forward_simulate(
     problem,
     fields_prev,
@@ -126,14 +141,7 @@ def forward_simulate(
     ``1..dim_w`` give them.  The terminal node uses the terminal condition
     and its gradient instead.  ``increments`` are ``(paths, N, dim_w)``.
     """
-    if len(fields_prev) != grid.n:
-        raise InvalidArgument(
-            f"need {grid.n} per-step fields, got {len(fields_prev)}"
-        )
-    columns = {f.coeffs.shape[1:] for f in fields_prev} - {(), (1 + problem.dim_w,)}
-    if columns:
-        raise InvalidArgument(f"a field of {min(columns)[0]} coefficient "
-                              f"columns, not 1 + dim_w = {1 + problem.dim_w}")
+    _check_fields(problem, fields_prev, grid)
     num_paths = len(increments)
     _check_increments(problem, increments, grid, num_paths)
     dim, dim_w = problem.dim_x, problem.dim_w
@@ -169,7 +177,6 @@ def backward_pass(
     increments,
     grid: TimeGrid,
     warm_fields,
-    cfg: RegressionConfig,
     method: str = "differentiation",
 ):
     """Refit the per-step fields against freshly simulated paths.
@@ -186,6 +193,7 @@ def backward_pass(
     if method not in METHODS:
         raise InvalidArgument(f"method must be one of {METHODS}")
     fit = fit_step_direct if method == "direct" else fit_step_differentiation
+    _check_fields(problem, warm_fields, grid)
     _check_increments(problem, increments, grid, paths.num_paths)
     n = grid.n
     y_next = paths.y[:, n]
@@ -194,7 +202,7 @@ def backward_pass(
         try:
             fields[i], y_next = fit(
                 problem, grid.nodes[i], paths.x[:, i], y_next, increments[:, i],
-                warm_fields[i], cfg, h=grid.h,
+                warm_fields[i], h=grid.h,
             )
         except NumericalFailure as exc:
             exc.step = i
@@ -277,8 +285,7 @@ def run_markovian_iteration(
                 box = _auto_box(paths)
                 fields = [zero_field(problem.dim_x, box[0], box[1])] * cfg.n_steps
             fields = backward_pass(
-                problem, paths, base_coarse, grid, fields, cfg.regression,
-                method=cfg.method,
+                problem, paths, base_coarse, grid, fields, method=cfg.method
             )
             all_fields.append(fields)
             del paths  # freed before the next sweep is built

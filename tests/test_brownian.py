@@ -179,6 +179,18 @@ class TestStore:
         with pytest.raises(InvalidArgument, match="horizon must be positive"):
             sample_fine_increments(7, 2, 4, 1, None)
 
+    @pytest.mark.parametrize("seed", [2.5, None, float("nan"), "7"],
+                             ids=["fraction", "none", "nan", "string"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # 2.5 would run the seed-2 store, and None or NaN fail in int()
+        with pytest.raises(InvalidArgument, match="seed must be a whole number"):
+            sample_fine_increments(seed, 2, 4, 1, 0.25)
+
+    def test_whole_seeds_of_any_sign_are_masked_to_64_bits(self):
+        assert sample_fine_increments(7.0, 2, 4, 1, 0.25).seed == 7
+        assert sample_fine_increments(-1, 2, 4, 1, 0.25).seed == 2**64 - 1
+        assert sample_fine_increments(2**64 + 7, 2, 4, 1, 0.25).seed == 7
+
     def test_missing_path_count_rejected(self):
         with pytest.raises(InvalidArgument, match="num_paths must be a positive"):
             sample_fine_increments(7, None, 4, 1, 0.25)

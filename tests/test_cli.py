@@ -62,14 +62,20 @@ class TestRun:
             (["--fresh-noise"], None, "--fresh-noise"),
             ([], {"f_mode": "explicit-ynext"}, "f_mode"),
             ([], {"fresh_noise": True}, "fresh_noise"),
+            (["--ridge", "1e-10"], None, "--ridge"),
+            (["--inner-iters", "3"], None, "--inner-iters"),
+            ([], {"ridge": 1e-10}, "ridge"),
+            ([], {"inner_iters": 3}, "inner_iters"),
         ],
         ids=["flag-f-mode", "flag-fresh-noise", "config-f_mode",
-             "config-fresh_noise"],
+             "config-fresh_noise", "flag-ridge", "flag-inner-iters",
+             "config-ridge", "config-inner_iters"],
     )
     def test_removed_options_exit_one(self, capsys, tmp_path, flags, config,
                                       named):
-        # the method alone fixes the fit, and every iteration runs on the
-        # store's increments: neither choice is settable any more
+        # the method alone fixes the fit, every iteration runs on the
+        # store's increments, and the fits' ridge and solve count are
+        # constants: none of these is settable any more
         argv = ["run", "--problem", "constant", "--N", "2", "--M", "1"] + FAST
         if config is not None:
             path = tmp_path / "config.json"
@@ -92,6 +98,26 @@ class TestRun:
         assert len(lines) == 3
         assert lines[1].count(",") == lines[2].count(",") == 11
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--N", "2"],
+        ["sweep", "--sweep", "N", "--values", "2,4"],
+    ], ids=["run", "sweep"])
+    def test_unopenable_out_exits_one_before_the_reference(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # a directory for --out used to fail with a traceback after the
+        # reference and every solve
+        def no_reference(*args):
+            raise AssertionError("reference simulated")
+
+        monkeypatch.setattr(cli, "simulate_reference", no_reference)
+        code, out, err = run_cli(capsys, command + [
+            "--problem", "constant", "--M", "1", "--out", str(tmp_path),
+        ] + FAST)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot open --out {tmp_path}")
+        assert "Traceback" not in err
+
     def test_config_file_precedence(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"problem": "constant", "N": 4, "M": 1,
@@ -111,7 +137,7 @@ class TestRun:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "key, value", [("ridge", "x"), ("dim", 2.5), ("N", "4")],
+        "key, value", [("horizon", "x"), ("dim", 2.5), ("N", "4")],
         ids=["string-for-float", "float-for-int", "string-for-int"],
     )
     def test_config_value_of_the_wrong_type_exits_one(self, capsys, tmp_path,
@@ -138,14 +164,6 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", "--method", "bogus"])
         assert code == 1
         assert "method" in err
-        # each would otherwise run: an infinite ridge swamps the Gram
-        # matrix (err_y about 1), and a NaN one reads as no ridge at all
-        small = ["run", "--problem", "example2", "--N", "4", "--M", "2", *FAST]
-        for flags in (["--ridge", "inf"], ["--ridge", "nan"],
-                      ["--inner-iters", "0"]):
-            code, out, err = run_cli(capsys, small + flags)
-            assert (code, out) == (1, "")
-            assert flags[0].lstrip("-").replace("-", "_") in err
 
     def test_incompatible_grid_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -439,6 +457,22 @@ class TestDiagnose:
         payload = json.loads(dst.read_text())
         assert "c2_at_L1L1" in payload
         assert "{" not in out  # table only on stdout when writing a file
+
+    def test_unopenable_out_exits_one(self, capsys, tmp_path):
+        src = tmp_path / "constants.txt"
+        src.write_text(CONSTANTS_TEXT)
+        code, out, err = run_cli(
+            capsys, ["diagnose", "--constants", str(src), "--out", str(tmp_path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot open --out {tmp_path}")
+
+    def test_repeated_constant_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "constants.txt"
+        path.write_text(CONSTANTS_TEXT + "k_b = 0.5\n")
+        code, out, err = run_cli(capsys, ["diagnose", "--constants", str(path)])
+        assert (code, out) == (1, "")
+        assert "'k_b' already set on line 1" in err
 
     def test_missing_key_named(self, capsys, tmp_path):
         path = tmp_path / "constants.txt"

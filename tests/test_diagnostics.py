@@ -391,8 +391,16 @@ class TestConstantsIO:
             parse_constants(self.make_text() + "\nT = soup")
 
     def test_comments_and_blanks_ignored(self):
-        text = "# header\n\n" + self.make_text() + "\nT = 0.25  # override\n"
-        assert parse_constants(text).T == 0.25
+        text = "# header\n\n" + self.make_text().replace(
+            "T = 0.25", "T = 0.5  # trailing"
+        ) + "\n"
+        assert parse_constants(text).T == 0.5
+
+    def test_repeated_key_names_both_lines(self):
+        # the second k_b used to replace the first without a word
+        with pytest.raises(InvalidArgument,
+                           match="line 17: constant 'k_b' already set on line 1"):
+            parse_constants(self.make_text() + "\nk_b = 0.5")
 
     def test_report_serialization(self):
         report = check_conditions(parse_constants(self.make_text()))

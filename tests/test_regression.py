@@ -29,7 +29,6 @@ from fbsdekit.problems import (
     example2_problem,
 )
 from fbsdekit.regression import (
-    RegressionConfig,
     fit_step_differentiation,
     fit_step_direct,
     solve_linear_lsq,
@@ -80,6 +79,11 @@ class TestSolveLinearLsq:
             solve_linear_lsq(a, y, ridge=0.0)
         c = solve_linear_lsq(a, y, ridge=1e-8)
         assert np.all(np.isfinite(c))
+
+    def test_ridge_must_be_finite_and_nonnegative(self):
+        for ridge in (-1.0, np.inf, np.nan, None, "0.1"):
+            with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+                solve_linear_lsq(np.eye(2), np.ones(2), ridge)
 
     def test_same_bits_for_either_design_layout(self):
         # the normal equations take the design paths-fastest, whatever its layout
@@ -165,13 +169,12 @@ class TestFitStepDifferentiation:
     def setup_method(self):
         self.problem = decoupled_test_problem("brownian-linear")
         self.warm = zero_field(1, *WIDE)
-        self.cfg = RegressionConfig()
 
     def test_recovers_exact_linear_model(self):
         rng = np.random.default_rng(4)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
         field, _ = fit_step_differentiation(
-            self.problem, 0.1, x, y_next, dw, self.warm, self.cfg, h=0.05
+            self.problem, 0.1, x, y_next, dw, self.warm, h=0.05
         )
         assert np.allclose(field.coeffs, [a, b, 0.0], atol=1e-8)
 
@@ -180,72 +183,74 @@ class TestFitStepDifferentiation:
         x = rng.normal(size=(300, 1))
         dw = 0.05 * rng.normal(size=(300, 1))
         field, _ = fit_step_differentiation(
-            self.problem, 0.0, x, np.full(300, 2.5), dw, self.warm, self.cfg, h=0.1
+            self.problem, 0.0, x, np.full(300, 2.5), dw, self.warm, h=0.1
         )
         assert np.allclose(field.coeffs, [2.5, 0.0, 0.0], atol=1e-8)
 
-    def test_inner_iterations_converge_immediately_without_nonlinearity(self):
+    def test_inner_iterations_converge_immediately_without_nonlinearity(
+        self, monkeypatch
+    ):
         # f = 0 and state-independent sigma: one solve reaches the fixed point
         rng = np.random.default_rng(6)
         x, dw, y_next, _ = linear_target_batch(rng)
-        one, _ = fit_step_differentiation(
-            self.problem, 0.0, x, y_next, dw, self.warm,
-            RegressionConfig(inner_iters=1), h=0.05,
-        )
-        three, _ = fit_step_differentiation(
-            self.problem, 0.0, x, y_next, dw, self.warm,
-            RegressionConfig(inner_iters=3), h=0.05,
-        )
+        fits = []
+        for solves in (1, 3):
+            monkeypatch.setattr(regression, "_INNER_SOLVES", solves)
+            fits.append(fit_step_differentiation(
+                self.problem, 0.0, x, y_next, dw, self.warm, h=0.05,
+            )[0])
+        one, three = fits
         assert np.array_equal(one.coeffs, three.coeffs)
 
-    def test_matches_pseudo_inverse_oracle(self):
+    def test_matches_pseudo_inverse_oracle(self, monkeypatch):
         # with f = 0 the joint fit collapses to one linear regression on
         # rows phi(x) + grad_phi(x) sigma dW, solvable by the SVD oracle
         rng = np.random.default_rng(7)
         x, dw, y_next, _ = linear_target_batch(rng)
+        monkeypatch.setattr(regression, "_RIDGE", 0.0)
+        monkeypatch.setattr(regression, "_INNER_SOLVES", 1)
         field, _ = fit_step_differentiation(
-            self.problem, 0.0, x, y_next, dw, self.warm,
-            RegressionConfig(ridge=0.0, inner_iters=1), h=0.05,
+            self.problem, 0.0, x, y_next, dw, self.warm, h=0.05,
         )
         design = features(x, 1) + grad_features(x, 1)[:, :, 0] * dw
         oracle = np.linalg.pinv(design) @ y_next
         assert np.linalg.norm(field.coeffs - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
-    def test_inner_loop_loss_behaves_on_benchmark_step(self):
+    def test_inner_loop_loss_behaves_on_benchmark_step(self, monkeypatch):
         # the Z-coupled benchmark at a production step size: the empirical
         # joint loss settles; the fit reports it through loss_history only
         problem, t, h, x, y_next, dw, warm = example2_benchmark_step()
         losses = []
+        monkeypatch.setattr(regression, "_INNER_SOLVES", 4)
         fit_step_differentiation(
-            problem, t, x, y_next, dw, warm,
-            RegressionConfig(inner_iters=4), h=h, loss_history=losses,
+            problem, t, x, y_next, dw, warm, h=h, loss_history=losses,
         )
         assert len(losses) == 4
         assert losses[-1] <= losses[0] * 1.001
 
-    def test_loss_increase_logs_nothing(self, caplog):
+    def test_loss_increase_logs_nothing(self, caplog, monkeypatch):
         # the last iterate of this step raises the joint loss by about 1e-9
         # relative: noise that the fit does not turn into log records
         problem, t, h, x, y_next, dw, warm = example2_benchmark_step()
         losses = []
+        monkeypatch.setattr(regression, "_INNER_SOLVES", 4)
         with caplog.at_level(logging.DEBUG):
             fit_step_differentiation(
-                problem, t, x, y_next, dw, warm,
-                RegressionConfig(inner_iters=4), h=h, loss_history=losses,
+                problem, t, x, y_next, dw, warm, h=h, loss_history=losses,
             )
         assert losses[-1] > losses[-2]
         assert caplog.records == []
 
     @pytest.mark.parametrize("batch", ["example1", "example2"])
-    def test_loss_history_changes_no_bits(self, batch):
+    def test_loss_history_changes_no_bits(self, batch, monkeypatch):
         problem, t, h, x, y_next, dw, warm = (
             example1_batch() if batch == "example1" else example2_benchmark_step()
         )
-        cfg = RegressionConfig(inner_iters=4)
-        field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, cfg, h=h)
+        monkeypatch.setattr(regression, "_INNER_SOLVES", 4)
+        field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, h=h)
         losses = []
         field_l, y_l = fit_step_differentiation(
-            problem, t, x, y_next, dw, warm, cfg, h=h, loss_history=losses
+            problem, t, x, y_next, dw, warm, h=h, loss_history=losses
         )
         assert len(losses) == 4
         assert field_l.coeffs.tobytes() == field.coeffs.tobytes()
@@ -254,11 +259,11 @@ class TestFitStepDifferentiation:
     def test_paths_fastest_inputs_give_the_same_bits(self):
         problem, t, h, x, y_next, dw, warm = example1_batch(n=5000)
         field, y = fit_step_differentiation(
-            problem, t, x, y_next, dw, warm, self.cfg, h=h
+            problem, t, x, y_next, dw, warm, h=h
         )
         field_f, y_f = fit_step_differentiation(
             problem, t, np.asfortranarray(x), y_next, np.asfortranarray(dw), warm,
-            self.cfg, h=h,
+            h=h,
         )
         assert np.array_equal(field_f.coeffs, field.coeffs)
         assert np.array_equal(y_f, y)
@@ -269,7 +274,7 @@ class TestFitStepDifferentiation:
         bad = np.full(10, np.nan)
         with pytest.raises(NumericalFailure):
             fit_step_differentiation(
-                self.problem, 0.0, x, bad, dw, self.warm, self.cfg, h=0.1
+                self.problem, 0.0, x, bad, dw, self.warm, h=0.1
             )
 
     def test_non_finite_diffusion_raises_on_the_composed_path(self):
@@ -282,7 +287,7 @@ class TestFitStepDifferentiation:
         )
         with pytest.raises(NumericalFailure, match="diffusion"):
             fit_step_differentiation(
-                problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05
+                problem, 0.0, x, y_next, dw, self.warm, h=0.05
             )
 
     def test_non_finite_diffusion_raises_on_the_closed_form(self):
@@ -294,7 +299,7 @@ class TestFitStepDifferentiation:
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             NumericalFailure, match="diffusion"
         ):
-            fit_step_differentiation(problem, t, x, y_next, dw, bad, self.cfg, h=h)
+            fit_step_differentiation(problem, t, x, y_next, dw, bad, h=h)
 
 
 def example1_batch(n=3000, seed=11):
@@ -348,7 +353,7 @@ def joint_loss(problem, t, h, x, y_next, dw, field):
     return float(np.mean(np.square(y_next - pred)))
 
 
-def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
+def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, h):
     """The fixed-point loop with every iterate re-evaluated by ``eval_u``
     and ``eval_v_diff`` and the design from the three-operand contraction."""
     lo, hi = warm.trunc_lo, warm.trunc_hi
@@ -356,7 +361,7 @@ def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
     phi = features(xc, warm.dim)
     jac = grad_features(xc, warm.dim) * ((x > lo) & (x < hi))[:, None, :]
     field = warm
-    for _ in range(cfg.inner_iters):
+    for _ in range(regression._INNER_SOLVES):
         y_bar = eval_u(field, x)
         z_bar = eval_v_diff(field, problem.sigma, t, x)
         sigma_bar = problem.sigma(t, x, y_bar)
@@ -364,7 +369,7 @@ def fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h):
         targets = y_next + h * problem.f(t, x, y_bar, z_bar)
         field = QuadraticField(
             dim=warm.dim,
-            coeffs=solve_linear_lsq(design, targets, cfg.ridge),
+            coeffs=solve_linear_lsq(design, targets, regression._RIDGE),
             trunc_lo=lo,
             trunc_hi=hi,
         )
@@ -400,21 +405,20 @@ class TestFitStepDifferentiationEvaluations:
             problem, sigma=counted("sigma"), f=counted("f")
         )
         fit_step_differentiation(
-            counting, t, x, y_next, dw, warm,
-            RegressionConfig(inner_iters=3), h=h,
+            counting, t, x, y_next, dw, warm, h=h,
             loss_history=[] if collect else None,
         )
         assert calls == expected
 
-    @pytest.mark.parametrize("inner_iters", [1, 2, 3])
-    def test_last_loss_is_that_of_the_returned_field(self, inner_iters):
+    @pytest.mark.parametrize("solves", [1, 2, 3])
+    def test_last_loss_is_that_of_the_returned_field(self, solves, monkeypatch):
         problem, t, h, x, y_next, dw, warm = example1_batch()
         losses = []
+        monkeypatch.setattr(regression, "_INNER_SOLVES", solves)
         field, _ = fit_step_differentiation(
-            problem, t, x, y_next, dw, warm,
-            RegressionConfig(inner_iters=inner_iters), h=h, loss_history=losses,
+            problem, t, x, y_next, dw, warm, h=h, loss_history=losses,
         )
-        assert len(losses) == inner_iters
+        assert len(losses) == solves
         assert losses[-1] == joint_loss(problem, t, h, x, y_next, dw, field)
 
     def test_matches_loop_over_public_evaluators(self):
@@ -422,13 +426,12 @@ class TestFitStepDifferentiationEvaluations:
         # eval_u gives it, clamped paths included
         problem, t, h, x, y_next, dw, warm = example1_batch()
         assert np.any((x < warm.trunc_lo) | (x > warm.trunc_hi))
-        cfg = RegressionConfig(inner_iters=3)
-        field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, cfg, h=h)
-        oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, cfg, h)
+        field, y = fit_step_differentiation(problem, t, x, y_next, dw, warm, h=h)
+        oracle = fit_from_public_evaluators(problem, t, x, y_next, dw, warm, h)
         assert np.linalg.norm(field.coeffs - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.array_equal(y, eval_u(field, x))
         # the direct field's value column, as the forward sweep reads it
-        field, y = fit_step_direct(problem, t, x, y_next, dw, warm, cfg, h=h)
+        field, y = fit_step_direct(problem, t, x, y_next, dw, warm, h=h)
         phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 4)
         assert np.array_equal(y, phi @ field.coeffs[:, 0])
         assert np.allclose(y, eval_u(field, x)[:, 0], rtol=1e-12, atol=0.0)
@@ -437,7 +440,6 @@ class TestFitStepDifferentiationEvaluations:
 class TestFitStepDirect:
     def setup_method(self):
         self.problem = decoupled_test_problem("brownian-linear")
-        self.cfg = RegressionConfig()
         self.warm = zero_field(1, *WIDE)
 
     def test_constant_target(self):
@@ -446,7 +448,7 @@ class TestFitStepDirect:
         x = rng.normal(size=(n, 1))
         dw = np.sqrt(0.05) * rng.normal(size=(n, 1))
         field, _ = fit_step_direct(
-            self.problem, 0.0, x, np.full(n, 3.0), dw, self.warm, self.cfg, h=0.05
+            self.problem, 0.0, x, np.full(n, 3.0), dw, self.warm, h=0.05
         )
         values = eval_u(field, np.linspace(-1.5, 1.5, 9)[:, None])
         assert np.allclose(values[:, 0], 3.0, atol=1e-8)
@@ -469,7 +471,7 @@ class TestFitStepDirect:
         dw_i = coarse[:, i, :]
         h = horizon / n_steps
         field, _ = fit_step_direct(
-            self.problem, i * h, x_i, y_next, dw_i, self.warm, self.cfg, h=h
+            self.problem, i * h, x_i, y_next, dw_i, self.warm, h=h
         )
         points = np.quantile(x_i[:, 0], [0.2, 0.35, 0.5, 0.65, 0.8])[:, None]
         # 5 standard errors of each fitted value at the points: the
@@ -496,7 +498,7 @@ class TestFitStepDirect:
         rng = np.random.default_rng(9)
         x, dw, y_next, (a, b) = linear_target_batch(rng)
         field, _ = fit_step_direct(
-            self.problem, 0.0, x, y_next, dw, self.warm, self.cfg, h=0.05
+            self.problem, 0.0, x, y_next, dw, self.warm, h=0.05
         )
         # the u regression sees target a + b x + b dw with dw independent
         # noise of scale 0.05; coefficients match (a, b) at MC accuracy
@@ -517,12 +519,12 @@ class TestFitStepDirect:
         y_next = np.sin(problem.horizon + x[:, 0] + dw[:, 0])
         warm = zero_field(1, np.array([0.8]), np.array([2.2]))
         field, y = fit_step_direct(
-            problem, t, x, y_next, dw, warm, self.cfg, h=h
+            problem, t, x, y_next, dw, warm, h=h
         )
         phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 1)
         z = phi @ field.coeffs[:, 1:]
         targets = y_next + h * problem.f(t, x, y_next, z)
-        expected = solve_linear_lsq(phi, targets, self.cfg.ridge)
+        expected = solve_linear_lsq(phi, targets, regression._RIDGE)
         assert np.array_equal(field.coeffs[:, 0], expected)
         assert np.array_equal(y, phi @ expected)
 
@@ -533,36 +535,16 @@ class TestFitStepDirect:
         # the value's first, whose driver takes phi @ beta
         problem, t, h, x, y_next, dw, warm = example1_batch()
         field, y = fit_step_direct(
-            problem, t, x, y_next, dw, warm, self.cfg, h=h
+            problem, t, x, y_next, dw, warm, h=h
         )
         assert field.coeffs.shape == (15, 5)
         phi = features(np.clip(x, warm.trunc_lo, warm.trunc_hi), 4)
         beta = np.column_stack([
-            solve_linear_lsq(phi, y_next * dw[:, c] / h, self.cfg.ridge)
+            solve_linear_lsq(phi, y_next * dw[:, c] / h, regression._RIDGE)
             for c in range(4)
         ])
         assert np.array_equal(field.coeffs[:, 1:], beta)
         targets = y_next + h * problem.f(t, x, y_next, phi @ beta)
-        alpha = solve_linear_lsq(phi, targets, self.cfg.ridge)
+        alpha = solve_linear_lsq(phi, targets, regression._RIDGE)
         assert np.array_equal(field.coeffs[:, 0], alpha)
         assert np.array_equal(y, phi @ alpha)
-
-
-class TestRegressionConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidArgument):
-            RegressionConfig(ridge=-1.0)
-        with pytest.raises(InvalidArgument):
-            RegressionConfig(inner_iters=0)
-        # a finite nonnegative ridge and a whole positive count only, each
-        # with its rule's own message; the normal equations share the first
-        for ridge in (np.inf, np.nan, None, "0.1"):
-            with pytest.raises(InvalidArgument, match="finite and nonnegative"):
-                RegressionConfig(ridge=ridge)
-            with pytest.raises(InvalidArgument, match="finite and nonnegative"):
-                solve_linear_lsq(np.eye(2), np.ones(2), ridge)
-        for inner_iters in (2.5, None, np.nan):
-            with pytest.raises(InvalidArgument, match="must be a positive integer"):
-                RegressionConfig(inner_iters=inner_iters)
-        cfg = RegressionConfig(ridge=0, inner_iters=2.0)
-        assert (type(cfg.ridge), type(cfg.inner_iters)) == (float, int)

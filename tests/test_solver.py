@@ -31,7 +31,6 @@ from fbsdekit.problems import (
     example2_problem,
 )
 from fbsdekit.reference import simulate_reference
-from fbsdekit.regression import RegressionConfig
 from fbsdekit.solver import (
     METHODS,
     SolverConfig,
@@ -67,6 +66,17 @@ def direct_zero_fields(problem, n):
     fld = zero_field(problem.dim_x, problem.x0 - 3.0, problem.x0 + 3.0)
     coeffs = np.zeros((fld.coeffs.size, 1 + problem.dim_w))
     return [dataclasses.replace(fld, coeffs=coeffs)] * n
+
+
+# per-step field lists that example1 (dim_x = dim_w = 4) on a 4-step grid
+# rejects: one field short, one over, and fields on states of another dim
+FIELD_LISTS = [
+    (3, 4, "need 4 per-step fields, got 3"),
+    (5, 4, "need 4 per-step fields, got 5"),
+    (4, 2, "2-dimensional states, not dim_x = 4"),
+    (4, 5, "5-dimensional states, not dim_x = 4"),
+]
+FIELD_LIST_IDS = ["three", "five", "dim-2", "dim-5"]
 
 
 class TestForwardSimulate:
@@ -224,11 +234,14 @@ class TestForwardSimulate:
             assert np.array_equal(paths.y[:, i], phi @ fld.coeffs[:, 0])
             assert np.array_equal(paths.z[:, i], phi @ fld.coeffs[:, 1:])
 
-    def test_wrong_field_count(self):
-        problem = make_problem()
-        grid = make_time_grid(0.25, 4)
-        with pytest.raises(InvalidArgument):
-            forward_simulate(problem, zero_fields(3), np.zeros((2, 4, 1)), grid)
+    @pytest.mark.parametrize("count, dim, message", FIELD_LISTS,
+                             ids=FIELD_LIST_IDS)
+    def test_fields_of_another_count_or_dim_rejected(self, count, dim, message):
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 4)
+        fields = [zero_field(dim, np.full(dim, -2.0), np.full(dim, 4.0))] * count
+        with pytest.raises(InvalidArgument, match=message):
+            forward_simulate(problem, fields, np.zeros((3, 4, 4)), grid)
 
     @pytest.mark.parametrize("columns", [2, 4, 6])
     def test_direct_field_needs_one_plus_dim_w_columns(self, columns):
@@ -260,10 +273,7 @@ class TestBackwardPass:
         store = sample_fine_increments(5, 2000, 16, 1, 0.25)
         inc = coarsen_increments(store, 4)
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
-        cfg = SolverConfig(
-            n_steps=4, num_iterations=1, num_paths=2000, fine_n=16
-        ).regression
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(4), cfg)
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(4))
         for fld in fields:
             assert fld.coeffs.ndim == 1
             vals = eval_u(fld, np.linspace(-1.0, 1.0, 7)[:, None])
@@ -275,10 +285,7 @@ class TestBackwardPass:
         store = sample_fine_increments(6, 5000, 1, 1, 0.25)
         inc = coarsen_increments(store, 1)
         paths = forward_simulate(problem, zero_fields(1), inc, grid)
-        cfg = SolverConfig(
-            n_steps=1, num_iterations=1, num_paths=5000, fine_n=1
-        ).regression
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(1), cfg)
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(1))
         assert len(fields) == 1
         # E[W_T | W_0 = 0] = 0 and the field is evaluated only at x0 = 0
         assert abs(eval_u(fields[0], np.zeros((1, 1)))[0]) <= 5.0 / np.sqrt(5000)
@@ -288,11 +295,8 @@ class TestBackwardPass:
         grid = make_time_grid(0.25, 2)
         inc = np.zeros((3, 2, 1))
         paths = forward_simulate(problem, zero_fields(2), inc, grid)
-        cfg = SolverConfig(
-            n_steps=2, num_iterations=1, num_paths=3, fine_n=2
-        ).regression
         with pytest.raises(InvalidArgument):
-            backward_pass(problem, paths, inc, grid, zero_fields(2), cfg,
+            backward_pass(problem, paths, inc, grid, zero_fields(2),
                           method="Direct")
 
     @pytest.mark.parametrize("shape", [(50, 8, 1), (50, 4, 4), (49, 8, 4)],
@@ -305,8 +309,32 @@ class TestBackwardPass:
         fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 8
         paths = forward_simulate(problem, fields, np.zeros((50, 8, 4)), grid)
         with pytest.raises(InvalidArgument, match=r"not \(paths, N, dim_w\)"):
-            backward_pass(problem, paths, np.zeros(shape), grid, fields,
-                          RegressionConfig())
+            backward_pass(problem, paths, np.zeros(shape), grid, fields)
+
+    @staticmethod
+    def example1_sweep():
+        problem = example1_problem()
+        grid = make_time_grid(problem.horizon, 4)
+        fields = [zero_field(4, problem.x0 - 3.0, problem.x0 + 3.0)] * 4
+        inc = np.zeros((50, 4, 4))
+        return problem, grid, fields, inc, forward_simulate(problem, fields, inc, grid)
+
+    @pytest.mark.parametrize("count, dim, message", FIELD_LISTS,
+                             ids=FIELD_LIST_IDS)
+    def test_warm_fields_of_another_count_or_dim_rejected(self, count, dim,
+                                                           message):
+        # the forward sweep's rule: 3 fields ran out at step 3, a fifth was
+        # ignored, and another dim failed to broadcast inside the fit
+        problem, grid, _, inc, paths = self.example1_sweep()
+        warm = [zero_field(dim, np.full(dim, -2.0), np.full(dim, 4.0))] * count
+        with pytest.raises(InvalidArgument, match=message):
+            backward_pass(problem, paths, inc, grid, warm)
+
+    def test_warm_field_of_another_column_count_rejected(self):
+        problem, grid, fields, inc, paths = self.example1_sweep()
+        warm = [dataclasses.replace(fld, coeffs=np.zeros((15, 2))) for fld in fields]
+        with pytest.raises(InvalidArgument, match="2 coefficient columns"):
+            backward_pass(problem, paths, inc, grid, warm, method="direct")
 
     def test_first_target_is_the_sweeps_terminal_value(self):
         # the sweep stored g(x_N) at node N, so the backward pass reads it
@@ -323,8 +351,8 @@ class TestBackwardPass:
             raise AssertionError("g called again")
 
         fitted = backward_pass(dataclasses.replace(problem, g=no_g), paths, inc,
-                               grid, fields, RegressionConfig())
-        again = backward_pass(problem, paths, inc, grid, fields, RegressionConfig())
+                               grid, fields)
+        again = backward_pass(problem, paths, inc, grid, fields)
         for ours, theirs in zip(fitted, again):
             assert np.array_equal(ours.coeffs, theirs.coeffs)
 
@@ -335,10 +363,7 @@ class TestBackwardPass:
         store = sample_fine_increments(8, lam, 16, 1, 0.25)
         inc = coarsen_increments(store, n)
         paths = forward_simulate(problem, zero_fields(n), inc, grid)
-        cfg = SolverConfig(
-            n_steps=n, num_iterations=1, num_paths=lam, fine_n=16
-        ).regression
-        fields = backward_pass(problem, paths, inc, grid, zero_fields(n), cfg)
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(n))
         tol = 5.0 / np.sqrt(lam)
         for i in range(1, n):  # step 0 sees the degenerate single point x0
             xs = np.quantile(paths.x[:, i, 0], [0.25, 0.5, 0.75])[:, None]
@@ -358,7 +383,7 @@ class TestBackwardPass:
             problem, sigma=lambda t, xs, y: np.full((xs.shape[0], 1, 1), np.nan)
         )
         with pytest.raises(NumericalFailure, match="diffusion") as err:
-            backward_pass(bad, paths, inc, grid, zero_fields(n), RegressionConfig())
+            backward_pass(bad, paths, inc, grid, zero_fields(n))
         assert err.value.step == n - 1
 
     def test_diffusion_failure_names_the_step_of_the_bad_warm_field(self):
@@ -378,7 +403,7 @@ class TestBackwardPass:
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             NumericalFailure, match="diffusion"
         ) as err:
-            backward_pass(problem, paths, inc, grid, warm, RegressionConfig())
+            backward_pass(problem, paths, inc, grid, warm)
         assert err.value.step == k
 
 
@@ -413,10 +438,7 @@ class TestRunMarkovianIteration:
         grid = make_time_grid(0.25, 4)
         inc = coarsen_increments(store, 4)
         paths = forward_simulate(problem, zero_fields(4), inc, grid)
-        fields = backward_pass(
-            problem, paths, inc, grid, zero_fields(4),
-            cfg.regression,
-        )
+        fields = backward_pass(problem, paths, inc, grid, zero_fields(4))
         for got, expected in zip(result.fields[0], fields):
             assert np.array_equal(got.coeffs, expected.coeffs)
 
@@ -510,6 +532,22 @@ class TestRunMarkovianIteration:
             with pytest.raises(InvalidArgument, match="must be a positive integer"):
                 SolverConfig(**{**counts, **bad})
         assert type(SolverConfig(**{**counts, "n_steps": 4.0}).n_steps) is int
+
+    @pytest.mark.parametrize("seed", [2.5, None, float("nan"), "7"],
+                             ids=["fraction", "none", "nan", "string"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # the config's own check, before the store would truncate 2.5 or
+        # fail in int() on None and NaN
+        counts = {"n_steps": 4, "num_iterations": 1, "num_paths": 10, "fine_n": 16}
+        with pytest.raises(InvalidArgument, match="seed must be a whole number"):
+            SolverConfig(**counts, seed=seed)
+
+    def test_whole_seed_stored_as_int(self):
+        counts = {"n_steps": 4, "num_iterations": 1, "num_paths": 10, "fine_n": 16}
+        cfg = SolverConfig(**counts, seed=7.0)
+        assert type(cfg.seed) is int and cfg.seed == 7
+        # the row reports the seed as given; the store masks it
+        assert SolverConfig(**counts, seed=-1).seed == -1
 
     def test_explicit_box_reaches_fitted_fields(self):
         problem = decoupled_test_problem("brownian-linear")
