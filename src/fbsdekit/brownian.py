@@ -46,6 +46,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import mmap
+import numbers
 import os
 import signal
 from dataclasses import dataclass, field
@@ -102,9 +103,10 @@ def paths_fastest(shape) -> np.ndarray:
 
 
 def _whole_int(value, name: str, positive: bool = False) -> int:
-    """``value`` as an ``int``; a whole number, and at least 1 if ``positive``."""
+    """``value`` as an ``int``; a whole number, and at least 1 if
+    ``positive``.  A bool is no number here."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # None, NaN, infinities
         whole = None
     if whole is None or whole != value or (positive and whole < 1):
@@ -123,6 +125,13 @@ def _positive_horizon(horizon) -> float:
     if horizon is None or not np.isfinite(horizon) or horizon <= 0.0:
         raise InvalidArgument(f"horizon must be positive, got {horizon}")
     return float(horizon)
+
+
+def _finite_real(value, name: str) -> float:
+    """``value`` as a ``float``; it must be a finite real number."""
+    if not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise InvalidArgument(f"{name} must be a finite real number, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,14 @@ def _prod(a, b):
     return a * b
 
 
+def _exp(x):
+    """``math.exp(x)``, with ``inf`` where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _golden_section_min(fn, lo, hi, iters=80):
     """Golden-section minimum of ``fn`` on ``[lo, hi]``: ``(value, argument)``."""
     a, b = lo, hi
@@ -322,7 +330,7 @@ def compute_c_functions(c: AssumptionConstants, growth: float, lbar: float):
     c0 = _c0_bracket(c, a4, a5)((a1 + d1) * T + _prod(a2 + d2, growth) * T)
     c1 = _prod(a2 + d2, c0)
     l2 = (
-        math.exp(max(a4, 0.0) * T) * c.g_0
+        _prod(_exp(max(a4, 0.0) * T), c.g_0)
         + b2 * T * gamma0(a4 * T)
         + _prod(b1 + d3, c0)
     )
@@ -385,11 +393,18 @@ def compute_c2(c: AssumptionConstants, lip: float, growth: float, lbar: float):
 
 
 def _default_report_h(c: AssumptionConstants) -> float:
-    """A step size compatible with the default multipliers."""
+    """A step size compatible with the default multipliers; a ``K`` too
+    large to form it raises :class:`InvalidArgument`."""
     if c.K == 0.0:
         h_max = 1.0
     else:
-        s = (-(1.0 + c.K) + math.sqrt((1.0 + c.K) ** 2 + 4.0 * c.K)) / (2.0 * c.K)
+        try:
+            root = math.sqrt((1.0 + c.K) ** 2 + 4.0 * c.K)
+        except OverflowError:
+            raise InvalidArgument(
+                f"K={c.K} is too large to form the report step size"
+            ) from None
+        s = (-(1.0 + c.K) + root) / (2.0 * c.K)
         h_max = s * s
     return min(c.T / 100.0, h_max / 4.0)
 

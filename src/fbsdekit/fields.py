@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import paths_fastest
+from .brownian import _positive_int, paths_fastest
 from .errors import InvalidArgument
 
 __all__ = [
@@ -219,13 +219,13 @@ def field_from_record(record: dict) -> QuadraticField:
     if record.get("version") != _FORMAT_VERSION:
         raise InvalidArgument(f"unknown field record version {record.get('version')}")
     coeffs = np.asarray(record["coeffs"], dtype=np.float64)
-    columns = (int(record["dim_w"]),) if "dim_w" in record else ()
+    columns = (_positive_int(record["dim_w"], "dim_w"),) if "dim_w" in record else ()
     if coeffs.shape[1:] != columns:
         raise InvalidArgument(
             f"coefficient shape {coeffs.shape} does not match the record's dim_w"
         )
     return QuadraticField(
-        dim=int(record["dim"]),
+        dim=_positive_int(record["dim"], "dim"),
         coeffs=coeffs,
         trunc_lo=np.asarray(record["trunc_lo"], dtype=np.float64),
         trunc_hi=np.asarray(record["trunc_hi"], dtype=np.float64),

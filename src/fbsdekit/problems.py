@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import _positive_int
+from .brownian import _finite_real, _positive_horizon, _positive_int
 from .diagnostics import AssumptionConstants
 from .errors import InvalidArgument
 
@@ -256,7 +256,12 @@ def example1_problem(
     the exact value process is ``exp(-rate (T - t)) sum_i sin(x_i)``.
     """
     d = _positive_int(dim, "dim")
-    T = float(horizon)
+    T = _positive_horizon(horizon)
+    kappa_y = _finite_real(kappa_y, "kappa_y")
+    kappa_z = _finite_real(kappa_z, "kappa_z")
+    sigma_bar = _finite_real(sigma_bar, "sigma_bar")
+    rate = _finite_real(rate, "rate")
+    x0_scalar = _finite_real(x0_scalar, "x0_scalar")
 
     def g(x):
         return np.sin(x).sum(axis=1)
@@ -300,7 +305,7 @@ def example1_problem(
         return x + drift(y, z) * h + scale(y) * dw
 
     return _closed_form_problem(
-        "example1", np.full(d, float(x0_scalar)), T, g, grad_g, fields, at, step
+        "example1", np.full(d, x0_scalar), T, g, grad_g, fields, at, step
     )
 
 
@@ -311,7 +316,8 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
     ``cos^2(t + x)``; every coefficient is written in ``sin(t + x)`` and
     ``cos(t + x)``.
     """
-    T = float(horizon)
+    T = _positive_horizon(horizon)
+    x0_scalar = _finite_real(x0_scalar, "x0_scalar")
 
     def trig_fields(sin_w, cos_w):
         return sin_w[:, 0], np.square(cos_w)
@@ -345,7 +351,7 @@ def example2_problem(horizon: float = 0.25, x0_scalar: float = 1.5) -> ProblemSp
         return x + drift(sin_w, cos_w, v) * h + cos_w * dw
 
     return _closed_form_problem(
-        "example2", np.array([float(x0_scalar)]), T, g, grad_g, fields, at, step
+        "example2", np.array([x0_scalar]), T, g, grad_g, fields, at, step
     )
 
 

@@ -320,12 +320,13 @@ def write_checkpoint(result: IterationResult, path) -> None:
 def read_checkpoint(path):
     """Load a checkpoint back into the nested list ``fields[m][i]``.
 
-    The file must start with :func:`write_checkpoint`'s header record, and
-    its field records must hold every ``(iteration, time_index)`` in
-    ``1..M x 0..N-1`` once and nothing else.  Otherwise
-    :class:`InvalidArgument` names the missing header, the file's line
-    number of a line that is no field record, the first duplicated key,
-    or the first missing or extra key.
+    The file must start with :func:`write_checkpoint`'s header record, of
+    positive counts, and its field records must hold every
+    ``(iteration, time_index)`` in ``1..M x 0..N-1`` once and nothing
+    else.  Otherwise :class:`InvalidArgument` names the missing header or
+    its count that is not positive, the file's line number of a line that
+    is no field record, the first duplicated key, or the first missing or
+    extra key.
     """
     table = {}
     with open(path) as handle:
@@ -337,6 +338,10 @@ def read_checkpoint(path):
             key: type(value) for key, value in header.items()
         } != {"iterations": int, "steps": int}:
             raise InvalidArgument(f"checkpoint {path} lacks its header record")
+        iterations, steps = (
+            _positive_int(header[key], f"checkpoint {path} header key {key!r}")
+            for key in ("iterations", "steps")
+        )
         for number, line in enumerate(handle, start=2):
             try:
                 record = json.loads(line)
@@ -353,7 +358,6 @@ def read_checkpoint(path):
                                       f"(iteration, time_index) = {key}")
             table[key] = fld
 
-    iterations, steps = header["iterations"], header["steps"]
     keys = [(m, i) for m in range(1, iterations + 1) for i in range(steps)]
     missing = [key for key in keys if key not in table]
     extra = sorted(set(table).difference(keys))

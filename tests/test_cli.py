@@ -1,6 +1,7 @@
 """Tests for the experiment CLI."""
 
 import json
+import math
 import os
 
 import pytest
@@ -56,31 +57,23 @@ class TestRun:
         assert strip_wall(out1) == strip_wall(out2)
 
     @pytest.mark.parametrize(
-        "flags, config, named",
+        "flags, named",
         [
-            (["--f-mode", "implicit-yz"], None, "--f-mode"),
-            (["--fresh-noise"], None, "--fresh-noise"),
-            ([], {"f_mode": "explicit-ynext"}, "f_mode"),
-            ([], {"fresh_noise": True}, "fresh_noise"),
-            (["--ridge", "1e-10"], None, "--ridge"),
-            (["--inner-iters", "3"], None, "--inner-iters"),
-            ([], {"ridge": 1e-10}, "ridge"),
-            ([], {"inner_iters": 3}, "inner_iters"),
+            (["--f-mode", "implicit-yz"], "--f-mode"),
+            (["--fresh-noise"], "--fresh-noise"),
+            (["--ridge", "1e-10"], "--ridge"),
+            (["--inner-iters", "3"], "--inner-iters"),
+            (["--config", "config.json"], "--config"),
         ],
-        ids=["flag-f-mode", "flag-fresh-noise", "config-f_mode",
-             "config-fresh_noise", "flag-ridge", "flag-inner-iters",
-             "config-ridge", "config-inner_iters"],
+        ids=["flag-f-mode", "flag-fresh-noise", "flag-ridge", "flag-inner-iters",
+             "flag-config"],
     )
-    def test_removed_options_exit_one(self, capsys, tmp_path, flags, config,
-                                      named):
+    def test_removed_options_exit_one(self, capsys, flags, named):
         # the method alone fixes the fit, every iteration runs on the
-        # store's increments, and the fits' ridge and solve count are
-        # constants: none of these is settable any more
+        # store's increments, the fits' ridge and solve count are
+        # constants, and every option is a flag: none of these is
+        # settable any more
         argv = ["run", "--problem", "constant", "--N", "2", "--M", "1"] + FAST
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            argv += ["--config", str(path)]
         code, _, err = run_cli(capsys, argv + flags)
         assert code == 1
         assert named in err
@@ -117,48 +110,6 @@ class TestRun:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot open --out {tmp_path}")
         assert "Traceback" not in err
-
-    def test_config_file_precedence(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"problem": "constant", "N": 4, "M": 1,
-                                      "paths": 300, "fine_n": 16, "seed": 3}))
-        code, out, _ = run_cli(capsys, ["run", "--config", str(config), "--N", "2"])
-        assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        assert row[1] == "constant"
-        assert row[2] == "2"  # flag beats config
-        assert row[4] == "300"  # config beats default
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run_cli(capsys, ["run", "--config", str(config)])
-        assert code == 1
-        assert "bogus" in err
-
-    @pytest.mark.parametrize(
-        "key, value", [("horizon", "x"), ("dim", 2.5), ("N", "4")],
-        ids=["string-for-float", "float-for-int", "string-for-int"],
-    )
-    def test_config_value_of_the_wrong_type_exits_one(self, capsys, tmp_path,
-                                                      key, value):
-        config = {"problem": "example1", "N": 4, "M": 1, "paths": 400,
-                  "fine_n": 64}
-        config[key] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code, _, err = run_cli(capsys, ["run", "--config", str(path)])
-        assert code == 1
-        assert f"config key {key!r}" in err
-
-    def test_config_takes_integers_for_float_keys(self, capsys, tmp_path):
-        base = ["run", "--problem", "example2", "--N", "4", "--M", "1"] + FAST
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"x0": 1, "horizon": 1}))
-        code, from_config, _ = run_cli(capsys, base + ["--config", str(path)])
-        _, from_flags, _ = run_cli(capsys, base + ["--x0", "1", "--horizon", "1"])
-        assert code == 0
-        assert strip_wall(from_config) == strip_wall(from_flags)
 
     def test_invalid_flag_value_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--method", "bogus"])
@@ -265,6 +216,23 @@ class TestProblemFlags:
         code, flagged, _ = run_cli(capsys, base + ignored)
         assert code == 0
         assert strip_wall(flagged) == strip_wall(plain)
+
+
+    @pytest.mark.parametrize("problem, flag, value, name", [
+        ("example1", "--x0", "nan", "x0_scalar"),
+        ("example1", "--x0", "inf", "x0_scalar"),
+        ("example1", "--kappa-y", "nan", "kappa_y"),
+        ("example1", "--sigma-bar", "inf", "sigma_bar"),
+        ("example1", "--rate", "nan", "rate"),
+        ("example2", "--x0", "nan", "x0_scalar"),
+    ])
+    def test_non_finite_parameter_exits_one_naming_it(self, capsys, problem, flag,
+                                                      value, name):
+        # it used to exit 2, a numerical failure of the reference at step 0
+        code, out, err = run_cli(capsys, ["run", "--problem", problem, "--N", "2",
+                                          "--M", "1", flag, value] + FAST)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {name} must be a finite real number")
 
 
 class TestSweep:
@@ -466,6 +434,37 @@ class TestDiagnose:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot open --out {tmp_path}")
+
+    def test_failing_check_leaves_the_out_file_as_it_was(self, capsys, tmp_path):
+        # --out was opened, and so emptied, before the check ran
+        src = tmp_path / "constants.txt"
+        src.write_text(CONSTANTS_TEXT.replace("\nK = 1.0\n", "\nK = inf\n"))
+        dst = tmp_path / "report.json"
+        dst.write_text('{"kept": true}\n')
+        code, out, err = run_cli(
+            capsys, ["diagnose", "--constants", str(src), "--out", str(dst)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: lambda3=-inf")
+        assert dst.read_text() == '{"kept": true}\n'
+
+    @pytest.mark.parametrize("line, code", [
+        ("f_z = 1e308", 0), ("K = 1e308", 1),
+    ], ids=["f_z", "K"])
+    def test_overflowing_constant_has_no_traceback(self, capsys, tmp_path, line,
+                                                   code):
+        key = line.split()[0]
+        path = tmp_path / "constants.txt"
+        path.write_text(CONSTANTS_TEXT.replace(f"\n{key} = ", f"\n{line}  # was "))
+        got, out, err = run_cli(capsys, ["diagnose", "--constants", str(path)])
+        assert got == code
+        assert "Traceback" not in err
+        if code == 0:
+            payload = json.loads(out[out.index("{"):])
+            assert payload["L2_at_L1"] == payload["c0_at_L1"] == math.inf
+        else:
+            assert (out, err) == ("", "error: K=1e+308 is too large to form the "
+                                      "report step size\n")
 
     def test_repeated_constant_exits_one(self, capsys, tmp_path):
         path = tmp_path / "constants.txt"

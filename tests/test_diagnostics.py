@@ -40,6 +40,14 @@ def constants(**overrides):
     return AssumptionConstants(**base)
 
 
+# the constants of demos/constants_weak_coupling.txt
+DEMO = dict(
+    k_b=0.0, k_f=-1.0, K=1.0, b_y=0.05, b_z=0.01, sigma_x=0.2, sigma_y=0.05,
+    f_x=0.5, f_z=0.2, g_x=1.0, b_0=0.1, sigma_0=0.1, f_0=0.2, g_0=1.0,
+    Sigma=1.0, T=0.25,
+)
+
+
 class TestGamma0:
     def test_at_one(self):
         assert math.isclose(gamma0(1.0), math.e - 1.0, rel_tol=1e-12)
@@ -336,6 +344,20 @@ class TestCheckConditions:
         assert report.conditionC1 == (report.c1_at_L1 < 1.0)
         assert report.conditionC2 == (report.c2_at_L1L1 < 1.0)
         assert report.Lbar == pytest.approx(1.01 * report.L1)
+
+    @pytest.mark.parametrize("overrides", [
+        {"f_z": 1e308}, {"k_f": 1e20}, {"f_z": 1e308, "g_0": 0.0},
+    ], ids=["f_z", "k_f", "f_z-no-g_0"])
+    def test_overflowing_term_reads_inf_and_fails_its_condition(self, overrides):
+        # exp(A4 T) in L2 overflowed with an uncaught OverflowError
+        report = check_conditions(constants(**{**DEMO, **overrides}))
+        assert report.L2_at_L1 == math.inf
+        assert not (report.conditionL0 or report.conditionC1 or report.conditionC2)
+
+    def test_k_too_large_for_the_report_step_size_raises(self):
+        # (1 + K)^2 in the report step size overflowed uncaught
+        with pytest.raises(InvalidArgument, match=r"^K=1e\+308 is too large"):
+            check_conditions(constants(**{**DEMO, "K": 1e308}))
 
 
 class TestConstantsValidation:

@@ -373,6 +373,18 @@ class TestSerialization:
         with pytest.raises(InvalidArgument):
             field_from_record(record)
 
+    @pytest.mark.parametrize("record, key, value", [
+        (VALUE_RECORD, "dim", 1.9), (VALUE_RECORD, "dim", True),
+        (VALUE_RECORD, "dim", 0), (GRADIENT_RECORD, "dim_w", 2.7),
+        (GRADIENT_RECORD, "dim_w", 0),
+    ], ids=["dim-fraction", "dim-bool", "dim-zero", "dim_w-fraction", "dim_w-zero"])
+    def test_record_counts_must_be_positive_integers(self, record, key, value):
+        # int() used to read 1.9 and true as 1, and 2.7 as 2
+        record = {**json.loads(record), key: value}
+        with pytest.raises(InvalidArgument,
+                           match=f"^{key} must be a positive integer"):
+            field_from_record(record)
+
     def test_zero_field(self):
         field = zero_field(2, np.full(2, -1.0), np.full(2, 1.0))
         assert np.array_equal(field.coeffs, np.zeros(6))

@@ -149,8 +149,34 @@ class TestExample1:
         with pytest.raises(InvalidArgument, match="dim must be a positive integer"):
             example1_problem(dim=dim)
 
+    @pytest.mark.parametrize("name", ["kappa_y", "kappa_z", "sigma_bar", "rate",
+                                      "x0_scalar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "1"])
+    def test_parameters_must_be_finite_reals(self, name, value):
+        # a non-finite one used to surface as a numerical failure of the
+        # reference at step 0
+        with pytest.raises(InvalidArgument,
+                           match=f"^{name} must be a finite real number"):
+            example1_problem(**{name: value})
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0, None])
+    def test_horizon_must_be_positive(self, horizon):
+        with pytest.raises(InvalidArgument, match="^horizon must be positive"):
+            example1_problem(horizon=horizon)
+
 
 class TestExample2:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None])
+    def test_start_must_be_a_finite_real(self, value):
+        with pytest.raises(InvalidArgument,
+                           match="^x0_scalar must be a finite real number"):
+            example2_problem(x0_scalar=value)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive(self, horizon):
+        with pytest.raises(InvalidArgument, match="^horizon must be positive"):
+            example2_problem(horizon=horizon)
+
     def test_initial_values(self):
         problem = example2_problem()
         x0 = problem.x0[None, :]

@@ -710,7 +710,12 @@ class TestRunMarkovianIteration:
         ({"iterations": 2}, r"extra field at .* = \(3, 0\)"),
         ({"gradient_fields": True}, "lacks its header record"),
         ({"steps": "3"}, "lacks its header record"),
-    ], ids=["fewer-iterations", "two-table-header", "malformed"])
+        # a count below 1 read back as no fields at all
+        ({"iterations": 0}, "header key 'iterations' must be a positive integer"),
+        ({"iterations": -2}, "header key 'iterations' must be a positive integer"),
+        ({"steps": 0}, "header key 'steps' must be a positive integer"),
+    ], ids=["fewer-iterations", "two-table-header", "malformed", "zero-iterations",
+            "negative-iterations", "zero-steps"])
     def test_checkpoint_beyond_its_header_rejected(self, tmp_path, header, message):
         # a header that names a gradient table, as the earlier two-table
         # format's did, is no header of this format
